@@ -38,9 +38,11 @@ Two further pieces make forks cheap and correct:
 Invalidation rules (also in ``docs/checkpointing.md``): a checkpoint is
 tied to the exact prefix code, seed-portable only under the zero-draw
 condition above, process-local (never pickled), and its ``identity``
-digest is what consumers mix into cache keys (see
-:meth:`repro.core.orchestrator.RunCache.key`) so results computed from
-different prefixes can never alias.
+digest names the captured prefix in journals and reports.  Stored
+campaign results are keyed on a static digest of the prefix code and
+key instead (see :meth:`repro.core.fabric.store.ResultStore.keys`),
+known before any capture, so results computed from different prefixes
+can never alias.
 
 Checkpoints form **trees**: ``capture`` also accepts a :class:`Forked`
 continuation, snapshotting the branch mid-flight with the originating

@@ -1,16 +1,18 @@
 """Execution backends behind :meth:`Campaign.run`.
 
 A backend answers one question: *where do this sweep's configurations
-execute?*  ``local`` is the original in-process engine -- serial or a
-``ProcessPoolExecutor``, byte-identical to what ``Campaign.run`` always
-did -- and stays the default so existing sweeps are untouched.
-``sockets`` hands the sweep to a :class:`~repro.core.fabric.coordinator.
-FabricCoordinator`: worker *processes* over a socket protocol, with
-work-stealing leases and a shared result store, so the sweep survives
-worker loss and resumes incrementally.
+execute?*  ``local`` is the in-process engine -- serial or a
+``ProcessPoolExecutor`` -- and stays the default.  ``sockets`` hands the
+sweep to a :class:`~repro.core.fabric.coordinator.FabricCoordinator`:
+worker *processes* over a socket protocol, with work-stealing leases and
+a shared result store, so the sweep survives worker loss and resumes
+incrementally.
 
-Both backends share the campaign's semantics exactly: per-config seeds,
-lint preflight, prefix grouping, oracle evaluation.  The property suite
+Both backends execute through the same loop,
+:func:`~repro.core.orchestrator.execute_shard`, and differ only in the
+sink each row is published to, so they share the campaign's semantics
+exactly: per-config seeds, lint preflight, prefix grouping and fallback
+accounting, oracle evaluation, store-before-journal publishing.  The property suite
 (``tests/props/test_fabric_props.py``) holds them to identical results
 and stable-key scorecards; the chaos suite (``tests/fabric/``) holds the
 sockets backend to the resumability contract.  A new backend earns its

@@ -34,14 +34,15 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.fabric.protocol import (ProtocolError, recv_message,
                                         send_message)
 from repro.core.fabric.shards import LeaseBoard, partition_shards
 from repro.core.fabric.spec import SweepSpec
 from repro.core.fabric.store import ResultStore
-from repro.core.orchestrator import RunResult, _run_end_payload
+from repro.core.orchestrator import (RunResult, _journal_published,
+                                     _prefix_stats_payload)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 
@@ -111,6 +112,8 @@ class FabricCoordinator:
         self._worker_pids: Dict[str, int] = {}
         self._aborted = False
         self._port: Optional[int] = None
+        #: prefix captures/forks/fallbacks summed over ``done`` reports
+        self._prefix_stats = {"captures": 0, "forks": 0, "fallbacks": 0}
 
     # ------------------------------------------------------------------
     # directory state
@@ -187,6 +190,8 @@ class FabricCoordinator:
                 journal.record(K.CAMPAIGN_WORKER_ERROR, shard=shard_id,
                                worker=worker,
                                error=str(message["error"]))
+            for name in self._prefix_stats:
+                self._prefix_stats[name] += int(message.get(name, 0))
             if board is not None:
                 board.complete(worker, shard_id)
             self._write_state("running")
@@ -277,13 +282,13 @@ class FabricCoordinator:
         spec = self._spec
         store = ResultStore(self._dir / "store")
         keys = spec.store_keys(store)
-        todo = store.missing(keys)
         journal = Journal(self._dir / "journals" / "coordinator.jsonl")
         self._journal = journal
+        rows = [store.get(key) for key in keys]
+        todo = [index for index, row in enumerate(rows) if row is None]
         failed: Optional[BaseException] = None
         status = "ok"
         findings: Optional[int] = None
-        todo_set = set(todo)
         try:
             journal.start(
                 "campaign", backend="sockets", seed=spec.seed,
@@ -295,36 +300,32 @@ class FabricCoordinator:
                    if k not in ("backend", "seed", "configs", "workers")})
             # re-journal completed rows so this attempt's record (the
             # last campaign.start segment) is a full flight on its own
-            for index, key in enumerate(keys):
-                if index in todo_set:
-                    continue
-                cached = store.get(key)
-                if cached is not None:
-                    journal.record(K.CAMPAIGN_RUN_END,
-                                   **_run_end_payload(index, cached,
-                                                      cached_hit=True))
+            _journal_published(rows, journal)
             if todo:
-                self._run_leased(spec, store, keys, todo, journal)
-            remaining = store.missing(keys)
+                try:
+                    self._run_leased(spec, todo, journal)
+                finally:
+                    for index in todo:
+                        rows[index] = store.get(keys[index])
+            remaining = sum(1 for row in rows if row is None)
             if remaining:
                 status = "workers_lost"
                 raise FabricError(
-                    f"all workers lost with {len(remaining)} of "
+                    f"all workers lost with {remaining} of "
                     f"{len(spec.configs)} configurations incomplete; "
                     f"resume with: repro sweep --resume {self._dir}",
                     status="workers_lost")
-            results = store.load_all(keys)
-            findings = sum(1 for result in results if not result.ok())
-            return results
+            findings = sum(1 for row in rows if not row.ok())
+            return rows
         except BaseException as err:
             failed = err
             raise
         finally:
             if failed is not None and status == "ok":
                 status = getattr(failed, "status", "failed")
-            executed = len(todo) - len(store.missing(keys))
             payload: Dict[str, Any] = {
-                "status": status, "executed": executed,
+                "status": status,
+                "executed": sum(1 for i in todo if rows[i] is not None),
                 "cached": len(spec.configs) - len(todo),
                 "stolen": (self._board.stolen
                            if self._board is not None else 0),
@@ -333,12 +334,13 @@ class FabricCoordinator:
             }
             if findings is not None:
                 payload["findings"] = findings
+            if spec.execution_prefix_keys() is not None:
+                payload.update(_prefix_stats_payload(self._prefix_stats))
             journal.record(K.CAMPAIGN_END, **payload)
             journal.close()
             self._write_state(status)
 
-    def _run_leased(self, spec: SweepSpec, store: ResultStore,
-                    keys: List[str], todo: List[int],
+    def _run_leased(self, spec: SweepSpec, todo: List[int],
                     journal: Journal) -> None:
         """Shard the remainder, serve leases, wait for the board."""
         exec_keys = spec.execution_prefix_keys()

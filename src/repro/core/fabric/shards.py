@@ -30,7 +30,7 @@ wall time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.orchestrator import _prefix_groups
 

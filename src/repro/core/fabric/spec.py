@@ -9,13 +9,11 @@ picklability rule as parallel :meth:`Campaign.run
 <repro.core.orchestrator.Campaign.run>` applies: body and oracle must be
 module-level callables.
 
-The spec also owns key derivation: :meth:`store_keys` reproduces the
-exact :meth:`RunCache.key <repro.core.orchestrator.RunCache.key>` the
-in-process campaign engine computes (including the static prefix digest
-for split bodies), which is what makes the fabric's
-:class:`~repro.core.fabric.store.ResultStore` interoperable with local
-``cache=`` sweeps -- a serial run that warmed a store resumes a fabric
-run incrementally, and vice versa.
+:meth:`SweepSpec.store_keys` addresses the sweep's rows through
+:meth:`ResultStore.keys <repro.core.fabric.store.ResultStore.keys>`, the
+same key function the in-process campaign engine uses, so a local
+``cache=``/``fabric_dir=`` run that warmed a store resumes a fabric run
+incrementally, and vice versa.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.orchestrator import (PrefixedBody, RunCache, _hash_code,
-                                     _prefix_digest)
+from repro.core.fabric.store import ResultStore
+from repro.core.orchestrator import PrefixedBody, _hash_code
 
 
 class SpecError(ValueError):
@@ -60,37 +58,17 @@ class SweepSpec:
     def split(self) -> bool:
         return isinstance(self.body, PrefixedBody)
 
-    def prefix_keys(self) -> List[Optional[Any]]:
-        """Per-config prefix keys (all ``None`` for unsplit bodies).
-
-        Derived regardless of :attr:`group` -- store keys mix the prefix
-        digest in whenever the body is split, exactly as the in-process
-        cache pre-pass does, so grouped and ungrouped runs share one
-        store address space.
-        """
-        if not self.split:
-            return [None] * len(self.configs)
-        return [self.body.prefix_key(config) for config in self.configs]
-
     def execution_prefix_keys(self) -> Optional[List[Optional[Any]]]:
         """Prefix keys for grouped execution, or ``None`` to run cold."""
         if not self.split or not self.group:
             return None
-        keys = self.prefix_keys()
+        keys = [self.body.prefix_key(config) for config in self.configs]
         return keys if any(key is not None for key in keys) else None
 
-    def store_keys(self, store: RunCache) -> List[str]:
+    def store_keys(self, store: ResultStore) -> List[str]:
         """The content address of every configuration's result."""
-        prefix_keys = self.prefix_keys()
-        keys = []
-        for index, config in enumerate(self.configs):
-            keys.append(store.key(
-                self.body, self.seed, config,
-                telemetry=self.telemetry, oracle=self.oracle,
-                checkpoint=(_prefix_digest(self.body, prefix_keys[index])
-                            if self.split and prefix_keys[index] is not None
-                            else None)))
-        return keys
+        return store.keys(self.body, self.seed, self.configs,
+                          telemetry=self.telemetry, oracle=self.oracle)
 
     def body_label(self) -> str:
         return getattr(self.body, "__qualname__", repr(self.body))
@@ -99,8 +77,7 @@ class SweepSpec:
         """Content identity of this spec (collision => same sweep).
 
         Hashes canonical components -- body/oracle code the way
-        :meth:`RunCache.key <repro.core.orchestrator.RunCache.key>`
-        does, plus seed, options and config contents -- rather than the
+        :meth:`ResultStore.keys` does, plus seed, options and config contents -- rather than the
         spec's pickle bytes, whose memoization layout depends on string
         object identity and therefore differs between a freshly built
         spec and the same spec loaded back from disk.

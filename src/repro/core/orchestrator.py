@@ -10,15 +10,25 @@ protocol machinery, install filter scripts, run, query the trace.
 results, which is how each paper table with one row per vendor is
 produced.
 
-Sweep-scale layout: parallel campaigns dispatch *chunks* of configurations
-to a persistent :class:`~concurrent.futures.ProcessPoolExecutor` (one pool
-per process, grown on demand, torn down at interpreter exit), so a
-thousand-point sweep pays worker startup once and pickles one task per
-chunk instead of one per configuration.  ``workers="auto"`` sizes the pool
-from ``os.cpu_count()`` and falls back to serial execution when the sweep
-is too small to amortize the pool.  An optional :class:`RunCache` keyed on
-the body's code, the campaign seed, and the configuration makes repeated
-sweeps (bench reruns, notebook iterations) skip already-computed points.
+Every campaign path runs its configurations through one loop,
+:func:`execute_shard`: group the shard by prefix key, capture each
+group's warm prefix once, run every member as a re-seeded fork of it
+(cold when the capture or the re-seed is refused), and hand each row to
+a :class:`ShardSink`.  Where a sweep runs is only a choice of sink.  A
+serial sweep publishes each row to the optional
+:class:`~repro.core.fabric.store.ResultStore`, then the journal, then
+the progress line.  A process-pool worker records its rows and the
+parent replays them through that same serial sink.  A fabric worker
+publishes to the shared store, its shard journal and its lease
+heartbeat.
+
+Process-pool sweeps dispatch *chunks* of configurations to a persistent
+:class:`~concurrent.futures.ProcessPoolExecutor` (one pool per process,
+grown on demand, torn down at interpreter exit), so a thousand-point
+sweep pays worker startup once and pickles one task per chunk instead of
+one per configuration.  ``workers="auto"`` sizes the pool from
+``os.cpu_count()`` and falls back to serial execution when the sweep is
+too small to amortize the pool.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from time import perf_counter
 from types import CodeType
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.distributions import DistributionSet, derive_seed
 from repro.core.sync import ScriptSync
@@ -44,6 +55,9 @@ from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
 from repro.obs.telemetry import RunTelemetry, _config_label, render_scorecard
+
+if TYPE_CHECKING:
+    from repro.core.fabric.store import ResultStore
 
 #: config keys whose string values are treated as tclish script sources
 SCRIPT_KEYS = ("script", "tclish", "tclish_source", "send_script",
@@ -173,97 +187,6 @@ def _hash_code(digest, code) -> None:
             digest.update(repr(const).encode())
 
 
-class RunCache:
-    """Content-addressed store of pickled :class:`RunResult` objects.
-
-    The cache key hashes everything that determines a configuration's
-    outcome: the body's module, qualname and compiled bytecode, the
-    campaign seed, the configuration contents, and the telemetry flag.
-    Editing the body function, changing the seed, or touching the config
-    therefore all miss naturally -- no explicit invalidation step exists or
-    is needed; stale entries are simply never addressed again (delete the
-    cache directory to reclaim the space).
-
-    Configurations whose values cannot be pickled deterministically fall
-    back to ``repr``; a value whose repr embeds an object id (the default
-    ``<Foo object at 0x...>`` form) yields a fresh key every process, which
-    degrades to a guaranteed miss -- never to a wrong hit.
-
-    The cache is opt-in (``Campaign.run(..., cache=RunCache(path))``)
-    because a cached sweep skips the body entirely: wall-time telemetry of
-    a hit reflects the original run, and side effects the body may have
-    (prints, file output) do not reoccur.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, body: Callable, seed: int, config: Dict[str, Any], *,
-            telemetry: bool, oracle: Optional[Callable] = None,
-            checkpoint: Optional[str] = None) -> str:
-        digest = hashlib.sha256()
-        # split bodies (PrefixedBody) expose their parts so the key
-        # covers the prefix *and* continuation bytecode, not the
-        # wrapper instance whose repr would churn per process
-        parts = getattr(body, "cache_parts", None)
-        for fn in (parts() if callable(parts) else (body,)):
-            digest.update(getattr(fn, "__module__", "").encode())
-            digest.update(getattr(fn, "__qualname__", repr(fn)).encode())
-            code = getattr(fn, "__code__", None)
-            if code is not None:
-                _hash_code(digest, code)
-        digest.update(str(seed).encode())
-        digest.update(b"telemetry" if telemetry else b"bare")
-        if checkpoint is not None:
-            # results computed by continuing a checkpoint are only
-            # interchangeable with runs from the *same* captured prefix:
-            # mix the checkpoint identity in so a changed prefix (other
-            # depth, other warmup code) can never address a stale entry
-            digest.update(b"checkpoint:")
-            digest.update(str(checkpoint).encode())
-        if oracle is not None:
-            digest.update(getattr(oracle, "__module__", "").encode())
-            digest.update(getattr(oracle, "__qualname__",
-                                  repr(oracle)).encode())
-        for k in sorted(config):
-            digest.update(k.encode())
-            value = config[k]
-            try:
-                digest.update(pickle.dumps(value))
-            except Exception:
-                digest.update(repr(value).encode())
-        return digest.hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def get(self, key: str) -> Optional[RunResult]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, key: str, result: RunResult) -> bool:
-        """Store one result; returns False if it is not picklable."""
-        try:
-            blob = pickle.dumps(result)
-        except Exception:
-            return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        return True
-
-
 class CampaignScriptError(ValueError):
     """One or more campaign configs carry scripts that fail lint.
 
@@ -341,19 +264,6 @@ def _shutdown_pool() -> None:
 atexit.register(_shutdown_pool)
 
 
-def _chunk_ranges(total: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, stop)`` chunks covering ``range(total)``.
-
-    Aims for :data:`_CHUNKS_PER_WORKER` chunks per worker slot so uneven
-    per-config workloads still load-balance, while never creating more
-    chunks than configs.
-    """
-    target = min(total, workers * _CHUNKS_PER_WORKER)
-    size = -(-total // target)  # ceil division
-    return [(start, min(start + size, total))
-            for start in range(0, total, size)]
-
-
 #: roots key a non-dict prefix state travels under through a checkpoint
 _STATE_ROOT = "__prefix_state__"
 
@@ -420,9 +330,10 @@ def _prefix_digest(body: PrefixedBody, key: Any) -> str:
     """A static digest naming one (prefix code, prefix key) pair.
 
     Deterministic *before* any capture happens -- unlike a captured
-    checkpoint's ``identity`` -- so cache pre-passes can mix it into
-    :meth:`RunCache.key` and let fully-cached groups skip capture
-    entirely, while a changed prefix function or key still misses.
+    checkpoint's ``identity`` -- so :meth:`ResultStore.keys
+    <repro.core.fabric.store.ResultStore.keys>` can mix it into store
+    keys and let fully-stored groups skip capture entirely, while a
+    changed prefix function or key still misses.
     """
     digest = hashlib.sha256()
     fn = body.prefix
@@ -461,16 +372,16 @@ def _prefix_groups(todo: List[int], keys: List[Optional[Any]]
 
 def _prefix_chunks(todo: List[int], keys: List[Optional[Any]],
                    workers: int) -> List[List[int]]:
-    """Worker chunks that keep prefix groups whole.
+    """Worker chunks of ``todo`` that keep prefix groups whole.
 
-    Contiguous chunking (:func:`_chunk_ranges`) can land one group's
-    configurations in two workers' chunks, paying the prefix capture
-    twice.  This packs whole groups into chunks instead, under two
-    budgets: small groups pack up to the fine-grained load-balancing
-    size (:data:`_CHUNKS_PER_WORKER` chunks per worker), but a group is
-    only *split* -- duplicating its capture -- when it alone exceeds a
-    worker's fair share of the sweep.  Result assembly stays input-
-    ordered regardless, because results land in slots by global index.
+    Whole groups (``None``-keyed configurations are singletons) pack
+    into chunks under two budgets: small groups pack up to the
+    fine-grained load-balancing size (:data:`_CHUNKS_PER_WORKER` chunks
+    per worker, so uneven per-config workloads still balance), but a
+    group is only *split* -- duplicating its capture -- when it alone
+    exceeds a worker's fair share of the sweep.  Result assembly stays
+    input-ordered regardless, because results land in slots by global
+    index.
     """
     groups = _prefix_groups(todo, keys)
     target = min(len(todo), workers * _CHUNKS_PER_WORKER)
@@ -507,7 +418,7 @@ class Campaign:
     sweep is embarrassingly parallel: ``run(configs, workers=N)`` fans the
     configurations out over ``N`` worker processes (``workers="auto"``
     sizes the pool from the machine).  Serial and parallel execution share
-    :func:`_execute_config`, so parallel results are identical to serial
+    :func:`execute_shard`, so parallel results are identical to serial
     ones and are returned in input order.  Requirements for parallel runs:
     the body must be a module-level (picklable) callable, and its result
     values must be picklable too.  Each worker builds its own
@@ -584,7 +495,7 @@ class Campaign:
     def run(self, configs: Iterable[Dict[str, Any]], *,
             workers: Union[int, str] = 1, telemetry: bool = True,
             scorecard: bool = False,
-            cache: Optional[RunCache] = None,
+            cache: Optional["ResultStore"] = None,
             oracle: Optional[Callable[[], List[Any]]] = None,
             journal: Union[None, str, Path, Journal] = None,
             progress: Optional[Callable[[str], None]] = None,
@@ -613,10 +524,10 @@ class Campaign:
         campaign scorecard (:func:`repro.obs.telemetry.render_scorecard`)
         after the sweep completes.
 
-        ``cache`` (a :class:`RunCache`, default off) returns stored
-        results for configurations this body+seed has already computed
-        and stores fresh ones; see the class docstring for the
-        invalidation rules.
+        ``cache`` (a :class:`~repro.core.fabric.store.ResultStore`,
+        default off) returns stored results for configurations this
+        body+seed has already computed and stores each fresh one as it
+        completes; see the class docstring for the invalidation rules.
 
         ``oracle`` (default off) is an invariant-pack factory -- a
         zero-argument callable returning fresh
@@ -709,7 +620,7 @@ class Campaign:
     def _run_journaled(self, config_list: List[Dict[str, Any]],
                        journal: Optional[Journal], *,
                        workers: Union[int, str], telemetry: bool,
-                       scorecard: bool, cache: Optional[RunCache],
+                       scorecard: bool, cache: Optional["ResultStore"],
                        oracle: Optional[Callable],
                        progress: Optional[Callable[[str], None]],
                        group: bool = True,
@@ -743,88 +654,53 @@ class Campaign:
         elif journal is not None:
             journal.record(K.CAMPAIGN_PREFLIGHT, ok=True, skipped=True)
 
-        split = isinstance(self._body, PrefixedBody)
-        prefix_keys: List[Optional[Any]] = (
-            [self._body.prefix_key(config) for config in config_list]
-            if split else [None] * len(config_list))
-        grouped = (group and split
-                   and any(key is not None for key in prefix_keys))
-        stats = {"captures": 0, "forks": 0, "fallbacks": 0}
-
+        prefix_keys: Optional[List[Optional[Any]]] = None
+        if group and isinstance(self._body, PrefixedBody):
+            prefix_keys = [self._body.prefix_key(c) for c in config_list]
+            if all(key is None for key in prefix_keys):
+                prefix_keys = None
+        keys: List[str] = []
         slots: List[Optional[RunResult]] = [None] * len(config_list)
-        keys: List[Optional[str]] = [None] * len(config_list)
-        todo: List[int] = []
         if cache is not None:
-            for index, config in enumerate(config_list):
-                # mix the static prefix digest in for split bodies so a
-                # cached hit never needs a capture, yet a changed
-                # prefix function or key can never alias a stale result
-                key = cache.key(
-                    self._body, self._seed, config,
-                    telemetry=telemetry, oracle=oracle,
-                    checkpoint=(_prefix_digest(self._body,
-                                               prefix_keys[index])
-                                if split and prefix_keys[index] is not None
-                                else None))
-                keys[index] = key
-                cached = cache.get(key)
-                if cached is not None:
-                    slots[index] = cached
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_RUN_END,
-                                       **_run_end_payload(index, cached,
-                                                          cached_hit=True))
-                else:
-                    todo.append(index)
+            keys = cache.keys(self._body, self._seed, config_list,
+                              telemetry=telemetry, oracle=oracle)
+            slots = [cache.get(key) for key in keys]
+            _journal_published(slots, journal)
+        todo = [index for index, row in enumerate(slots) if row is None]
+        if renderer is not None and len(todo) < len(config_list):
             done = len(config_list) - len(todo)
-            if renderer is not None and done:
-                renderer.update(done, cached=done)
-        else:
-            todo = list(range(len(config_list)))
-
+            renderer.update(done, cached=done)
+        sink = _CampaignSink(journal, store=cache, keys=keys, slots=slots,
+                             renderer=renderer)
+        stats = {"captures": 0, "forks": 0, "fallbacks": 0}
         pool_size = self._resolve_workers(workers, len(todo))
         failed: Optional[BaseException] = None
         try:
-            if todo:
-                if pool_size <= 1 or len(todo) <= 1:
-                    if grouped:
-                        self._run_serial_grouped(
-                            todo, config_list, slots, journal, renderer,
-                            telemetry=telemetry, oracle=oracle,
-                            prefix_keys=prefix_keys, pool=prefix_pool,
-                            stats=stats)
-                    else:
-                        self._run_serial(todo, config_list, slots, journal,
-                                         renderer, telemetry=telemetry,
-                                         oracle=oracle)
-                else:
-                    self._run_parallel(
-                        todo, config_list, slots, journal, renderer,
-                        pool_size=pool_size, telemetry=telemetry,
-                        oracle=oracle,
-                        prefix_keys=prefix_keys if grouped else None,
-                        stats=stats)
-                if cache is not None:
-                    for index in todo:
-                        if slots[index] is not None:
-                            cache.put(keys[index], slots[index])
+            if pool_size > 1 and len(todo) > 1:
+                self._run_parallel(todo, config_list, sink, journal,
+                                   pool_size=pool_size, telemetry=telemetry,
+                                   oracle=oracle, prefix_keys=prefix_keys,
+                                   stats=stats)
+            elif todo:
+                with _maybe_phase(journal, "dispatch"):
+                    execute_shard(self._body, self._seed, config_list, todo,
+                                  prefix_keys=prefix_keys, telemetry=telemetry,
+                                  oracle=oracle, pool=prefix_pool, sink=sink,
+                                  stats=stats)
         except BaseException as err:
             failed = err
             raise
         finally:
             if journal is not None:
-                executed = sum(1 for i in todo if slots[i] is not None)
                 payload: Dict[str, Any] = {
                     "status": "failed" if failed is not None else "ok",
-                    "executed": executed,
+                    "executed": sum(1 for i in todo if slots[i] is not None),
                     "cached": len(config_list) - len(todo),
                     "findings": sum(1 for r in slots
                                     if r is not None and not r.ok()),
                 }
-                if grouped:
-                    payload["prefix_captures"] = stats["captures"]
-                    payload["prefix_forks"] = stats["forks"]
-                    payload["prefix_fallbacks"] = stats["fallbacks"]
+                if prefix_keys is not None:
+                    payload.update(_prefix_stats_payload(stats))
                 journal.record(K.CAMPAIGN_END, **payload)
 
         results = [result for result in slots if result is not None]
@@ -832,129 +708,20 @@ class Campaign:
             print(render_scorecard(results))
         return results
 
-    def _run_serial(self, todo: List[int],
-                    config_list: List[Dict[str, Any]],
-                    slots: List[Optional[RunResult]],
-                    journal: Optional[Journal],
-                    renderer: Optional[ProgressRenderer], *,
-                    telemetry: bool, oracle: Optional[Callable]) -> None:
-        done = len(config_list) - len(todo)
-        with _maybe_phase(journal, "dispatch"):
-            for index in todo:
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_RUN_START, index=index,
-                                   label=_config_label(config_list[index]))
-                try:
-                    slots[index] = _execute_config(
-                        self._body, self._seed, config_list[index],
-                        telemetry=telemetry, oracle=oracle)
-                except Exception as err:
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
-                                       error=repr(err))
-                    raise
-                if journal is not None:
-                    journal.record(K.CAMPAIGN_RUN_END,
-                                   **_run_end_payload(index, slots[index]))
-                done += 1
-                if renderer is not None:
-                    renderer.update(done, findings=sum(
-                        1 for r in slots if r is not None and not r.ok())
-                        or None)
-
-    def _run_serial_grouped(self, todo: List[int],
-                            config_list: List[Dict[str, Any]],
-                            slots: List[Optional[RunResult]],
-                            journal: Optional[Journal],
-                            renderer: Optional[ProgressRenderer], *,
-                            telemetry: bool, oracle: Optional[Callable],
-                            prefix_keys: List[Optional[Any]],
-                            pool: Optional[Any],
-                            stats: Dict[str, int]) -> None:
-        """Serial sweep with one prefix capture per group, one fork per run.
-
-        Execution happens group by group (results still land in input
-        order via ``slots``).  A group whose prefix cannot be captured
-        or re-seeded (:class:`~repro.core.checkpoint.CheckpointError`:
-        the prefix drew from an RNG stream, or holds an uncopyable
-        callback) falls back to the cold path for every member -- the
-        sweep's results never depend on whether sharing worked, only
-        its speed does.
-        """
-        from repro.core.checkpoint import CheckpointError, CheckpointPool
-        if pool is None:
-            pool = CheckpointPool(max_items=4)
-        body: PrefixedBody = self._body
-        done = len(config_list) - len(todo)
-        with _maybe_phase(journal, "dispatch"):
-            for key, indices in _prefix_groups(todo, prefix_keys):
-                checkpoint = None
-                if key is not None:
-                    pool_key = _prefix_digest(body, key)
-                    checkpoint = pool.get(pool_key)
-                    if checkpoint is None and len(indices) > 1:
-                        try:
-                            checkpoint = _capture_prefix(
-                                body, config_list[indices[0]], key)
-                        except CheckpointError:
-                            stats["fallbacks"] += len(indices)
-                        else:
-                            pool.put(pool_key, checkpoint)
-                            stats["captures"] += 1
-                            if journal is not None:
-                                journal.record(
-                                    K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                    **_capture_payload(key, checkpoint,
-                                                       len(indices)))
-                for index in indices:
-                    if journal is not None:
-                        journal.record(
-                            K.CAMPAIGN_RUN_START, index=index,
-                            label=_config_label(config_list[index]))
-                    try:
-                        forked = checkpoint is not None
-                        if forked:
-                            try:
-                                slots[index] = _execute_forked(
-                                    body, self._seed, config_list[index],
-                                    checkpoint, telemetry=telemetry,
-                                    oracle=oracle)
-                                stats["forks"] += 1
-                            except CheckpointError:
-                                # prefix is not seed-portable: run this
-                                # and the rest of the group cold
-                                checkpoint = None
-                                forked = False
-                                stats["fallbacks"] += 1
-                        if not forked:
-                            slots[index] = _execute_config(
-                                body, self._seed, config_list[index],
-                                telemetry=telemetry, oracle=oracle)
-                    except Exception as err:
-                        if journal is not None:
-                            journal.record(K.CAMPAIGN_WORKER_ERROR,
-                                           index=index, error=repr(err))
-                        raise
-                    if journal is not None:
-                        journal.record(
-                            K.CAMPAIGN_RUN_END,
-                            **_run_end_payload(index, slots[index],
-                                               prefix=key, forked=forked))
-                    done += 1
-                    if renderer is not None:
-                        renderer.update(done, findings=sum(
-                            1 for r in slots
-                            if r is not None and not r.ok()) or None)
-
     def _run_parallel(self, todo: List[int],
                       config_list: List[Dict[str, Any]],
-                      slots: List[Optional[RunResult]],
-                      journal: Optional[Journal],
-                      renderer: Optional[ProgressRenderer], *,
+                      sink: "_CampaignSink", journal: Optional[Journal], *,
                       pool_size: int, telemetry: bool,
                       oracle: Optional[Callable],
-                      prefix_keys: Optional[List[Optional[Any]]] = None,
-                      stats: Optional[Dict[str, int]] = None) -> None:
+                      prefix_keys: Optional[List[Optional[Any]]],
+                      stats: Dict[str, int]) -> None:
+        """Fan chunks out to the process pool, replay rows in the parent.
+
+        Each chunk runs :func:`execute_shard` in a worker with a
+        recording sink; the parent replays the recorded captures and
+        rows through ``sink`` chunk by chunk in input order, so a pool
+        sweep publishes, journals and reports exactly as a serial one.
+        """
         try:
             pickle.dumps((self._body, oracle))
         except Exception as err:
@@ -963,59 +730,29 @@ class Campaign:
                 "(module-level) body and oracle, got "
                 f"{self._body!r} / {oracle!r}: {err}") from err
         pool = _get_pool(min(pool_size, len(todo)))
-        if prefix_keys is not None:
-            chunk_indices = _prefix_chunks(todo, prefix_keys, pool_size)
-        else:
-            chunk_indices = [todo[start:stop]
-                             for start, stop in _chunk_ranges(len(todo),
-                                                              pool_size)]
+        chunk_indices = _prefix_chunks(
+            todo, prefix_keys or [None] * len(config_list), pool_size)
         with _maybe_phase(journal, "dispatch"):
-            futures = []
-            for indices in chunk_indices:
-                futures.append((indices, pool.submit(
-                    _execute_chunk, self._body, self._seed,
-                    [config_list[i] for i in indices], indices,
-                    telemetry=telemetry, oracle=oracle,
-                    prefix_keys=([prefix_keys[i] for i in indices]
-                                 if prefix_keys is not None else None))))
-        done = len(config_list) - len(todo)
+            futures = [(indices, pool.submit(
+                _pool_shard, self._body, self._seed,
+                {i: config_list[i] for i in indices}, indices,
+                prefix_keys=({i: prefix_keys[i] for i in indices}
+                             if prefix_keys is not None else None),
+                telemetry=telemetry, oracle=oracle))
+                for indices in chunk_indices]
         with _maybe_phase(journal, "merge"):
             for indices, future in futures:
                 try:
-                    chunk_results, chunk_stats = future.result()
+                    calls, chunk_stats = future.result()
                 except Exception as err:
                     if journal is not None:
                         journal.record(K.CAMPAIGN_WORKER_ERROR,
                                        indices=indices, error=repr(err))
                     raise
-                if stats is not None:
-                    for capture in chunk_stats.get("captured", ()):
-                        stats["captures"] += 1
-                        if journal is not None:
-                            journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                           **capture)
-                    stats["forks"] += chunk_stats.get("forks", 0)
-                    stats["fallbacks"] += chunk_stats.get("fallbacks", 0)
-                forked_flags = chunk_stats.get("forked", [])
-                for position, (index, run_result) in enumerate(
-                        zip(indices, chunk_results)):
-                    slots[index] = run_result
-                    if journal is not None:
-                        journal.record(K.CAMPAIGN_RUN_END,
-                                       **_run_end_payload(
-                                           index, run_result,
-                                           prefix=(prefix_keys[index]
-                                                   if prefix_keys is not None
-                                                   else None),
-                                           forked=(forked_flags[position]
-                                                   if position
-                                                   < len(forked_flags)
-                                                   else False)))
-                done += len(indices)
-                if renderer is not None:
-                    renderer.update(done, findings=sum(
-                        1 for r in slots if r is not None and not r.ok())
-                        or None)
+                for name, args in calls:
+                    getattr(sink, name)(*args)
+                for name, count in chunk_stats.items():
+                    stats[name] += count
 
 
 def _maybe_phase(journal: Optional[Journal], name: str, **payload: Any):
@@ -1063,6 +800,30 @@ def _capture_payload(key: Any, checkpoint: Any,
             "entries": checkpoint.position, "configs": group_size}
 
 
+def _prefix_stats_payload(stats: Dict[str, int]) -> Dict[str, int]:
+    """The ``campaign.end`` prefix fields for grouped sweeps."""
+    return {"prefix_captures": stats["captures"],
+            "prefix_forks": stats["forks"],
+            "prefix_fallbacks": stats["fallbacks"]}
+
+
+def _journal_published(rows: List[Optional[RunResult]],
+                       journal: Optional[Journal]) -> None:
+    """Journal every row a result store already held as a cached hit.
+
+    Shared by the local backend's store pre-pass and the fabric
+    coordinator, which both load each key once with :meth:`ResultStore
+    .get <repro.core.fabric.store.ResultStore.get>`: an entry that
+    cannot be read back is a ``None`` row, i.e. work still to do.
+    """
+    if journal is None:
+        return
+    for index, row in enumerate(rows):
+        if row is not None:
+            journal.record(K.CAMPAIGN_RUN_END,
+                           **_run_end_payload(index, row, cached_hit=True))
+
+
 def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
                     key: Any) -> Any:
     """Simulate one group's warm prefix and capture it as a checkpoint.
@@ -1079,54 +840,39 @@ def _capture_prefix(body: PrefixedBody, config: Dict[str, Any],
     return Checkpoint.capture(env, roots, label=f"campaign/{key}")
 
 
-def _execute_forked(body: PrefixedBody, seed: int, config: Dict[str, Any],
-                    checkpoint: Any, *, telemetry: bool = True,
-                    oracle: Optional[Callable] = None) -> RunResult:
-    """Run one configuration as a re-seeded fork of its prefix checkpoint.
+def _execute(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
+             seed: int, config: Dict[str, Any], *,
+             checkpoint: Optional[Any] = None, telemetry: bool = True,
+             oracle: Optional[Callable] = None) -> RunResult:
+    """Run one configuration, cold or as a fork of its prefix checkpoint.
 
-    Derives the run seed exactly as :func:`_execute_config` does, so the
-    forked run is byte-identical to the cold one; telemetry's event and
-    trace counts carry the prefix's share too (the forked scheduler and
-    recorder resume from the captured counters, matching a cold run's
-    totals), only ``wall_s`` reflects the saved simulation.
+    The run seed derives from the campaign seed and the configuration
+    alone, and a fork is re-seeded to it, so a forked run is
+    byte-identical to the cold one.  With ``checkpoint`` the body must
+    be a :class:`PrefixedBody`: the fork resumes the captured prefix and
+    only ``body.continuation`` runs.  Telemetry's event and trace counts
+    then carry the prefix's share too (the forked scheduler and recorder
+    resume from the captured counters); only ``wall_s`` reflects the
+    saved simulation.
     """
     run_seed = derive_seed(seed, repr(sorted(config.items())))
-    forked = checkpoint.fork(seed=run_seed)
-    env = forked.env
-    state = (forked.roots[_STATE_ROOT] if set(forked.roots) == {_STATE_ROOT}
-             else forked.roots)
-    if not telemetry:
-        result = body.continuation(env, state, dict(config))
-        return RunResult(config=dict(config), result=result, trace=env.trace,
-                         violations=_oracle_violations(env.trace, oracle))
-    start = perf_counter()
-    result = body.continuation(env, state, dict(config))
-    wall_s = perf_counter() - start
-    run_telemetry = RunTelemetry(
-        wall_s=wall_s, events=env.scheduler.dispatched_count,
-        virtual_s=env.scheduler.now, trace_entries=len(env.trace))
-    return RunResult(config=dict(config), result=result, trace=env.trace,
-                     telemetry=run_telemetry,
-                     violations=_oracle_violations(env.trace, oracle))
-
-
-def _execute_config(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
-                    seed: int, config: Dict[str, Any], *,
-                    telemetry: bool = True,
-                    oracle: Optional[Callable] = None) -> RunResult:
-    """Run one configuration: the shared serial/parallel execution path."""
-    run_seed = derive_seed(seed, repr(sorted(config.items())))
-    env = make_env(seed=run_seed)
-    if not telemetry:
+    if checkpoint is None:
+        env = make_env(seed=run_seed)
+        start = perf_counter()
         result = body(env, dict(config))
-        return RunResult(config=dict(config), result=result, trace=env.trace,
-                         violations=_oracle_violations(env.trace, oracle))
-    start = perf_counter()
-    result = body(env, dict(config))
-    wall_s = perf_counter() - start
-    run_telemetry = RunTelemetry(
-        wall_s=wall_s, events=env.scheduler.dispatched_count,
-        virtual_s=env.scheduler.now, trace_entries=len(env.trace))
+    else:
+        forked = checkpoint.fork(seed=run_seed)
+        env = forked.env
+        state = (forked.roots[_STATE_ROOT]
+                 if set(forked.roots) == {_STATE_ROOT} else forked.roots)
+        start = perf_counter()
+        result = body.continuation(env, state, dict(config))
+    run_telemetry = None
+    if telemetry:
+        run_telemetry = RunTelemetry(
+            wall_s=perf_counter() - start,
+            events=env.scheduler.dispatched_count,
+            virtual_s=env.scheduler.now, trace_entries=len(env.trace))
     return RunResult(config=dict(config), result=result, trace=env.trace,
                      telemetry=run_telemetry,
                      violations=_oracle_violations(env.trace, oracle))
@@ -1141,72 +887,201 @@ def _oracle_violations(trace: TraceRecorder,
     return evaluate(trace, oracle()).violations
 
 
-def _execute_chunk(body: Callable[[ExperimentEnv, Dict[str, Any]], Any],
-                   seed: int, configs: List[Dict[str, Any]],
-                   indices: List[int], *,
-                   telemetry: bool = True,
-                   oracle: Optional[Callable] = None,
-                   prefix_keys: Optional[List[Optional[Any]]] = None
-                   ) -> Tuple[List[RunResult], Dict[str, Any]]:
-    """Worker-side loop over one chunk of configurations.
+class ShardSink:
+    """Where :func:`execute_shard` publishes; one subclass per transport.
 
-    With ``prefix_keys`` given (prefix-grouped dispatch), contiguous
-    same-key runs share one locally captured prefix checkpoint; the
-    returned stats dict reports each capture (for the parent's journal)
-    plus fork/fallback counts.  Only the current group's checkpoint is
-    kept alive, so worker memory stays flat however long the chunk is.
-
-    A failure is annotated with the *global* sweep index before it
-    propagates (exception notes survive pickling back to the parent), so
-    a bare pool traceback still names which sweep point died.
+    The loop calls ``lookup`` before each run (a row another writer
+    already published is handed to ``cached`` and skipped), ``capture``
+    once per prefix capture, then ``start`` and ``done`` (or ``error``)
+    per run.  ``done`` runs outside the error handler, so an exception
+    it raises (a lost lease) stops the shard without being journaled as
+    a body failure.  This base class publishes nothing.
     """
-    stats: Dict[str, Any] = {"captured": [], "forks": 0, "fallbacks": 0,
-                             "forked": []}
-    results: List[RunResult] = []
-    checkpoint = None
-    current_key: Optional[Any] = None
-    for position, (index, config) in enumerate(zip(indices, configs)):
-        key = prefix_keys[position] if prefix_keys is not None else None
-        try:
-            if key is None:
-                checkpoint, current_key = None, None
-                results.append(_execute_config(body, seed, config,
-                                               telemetry=telemetry,
-                                               oracle=oracle))
-                stats["forked"].append(False)
+
+    def lookup(self, index: int) -> Optional[RunResult]:
+        return None
+
+    def cached(self, index: int, result: RunResult) -> None:
+        pass
+
+    def capture(self, payload: Dict[str, Any]) -> None:
+        pass
+
+    def start(self, index: int, config: Dict[str, Any]) -> None:
+        pass
+
+    def done(self, index: int, result: RunResult, prefix: Optional[Any],
+             forked: bool) -> None:
+        pass
+
+    def error(self, index: int, err: BaseException) -> None:
+        pass
+
+
+class _CampaignSink(ShardSink):
+    """Publish each row: fill its slot, ``store.put``, journal, progress.
+
+    The local backend's sink, serial and (replayed) pool alike; the
+    fabric worker's lease sink extends it with a heartbeat.  Every part
+    is optional, and ``completed`` counts rows published so far.
+    """
+
+    def __init__(self, journal: Optional[Journal], *,
+                 store: Optional["ResultStore"] = None,
+                 keys: Sequence[str] = (),
+                 slots: Optional[List[Optional[RunResult]]] = None,
+                 renderer: Optional[ProgressRenderer] = None):
+        self.journal = journal
+        self.store = store
+        self.keys = keys
+        self.slots = slots
+        self.renderer = renderer
+        done = [row for row in slots or () if row is not None]
+        self.completed = len(done)
+        self.findings = sum(1 for row in done if not row.ok())
+
+    def capture(self, payload: Dict[str, Any]) -> None:
+        if self.journal is not None:
+            self.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE, **payload)
+
+    def start(self, index: int, config: Dict[str, Any]) -> None:
+        if self.journal is not None:
+            self.journal.record(K.CAMPAIGN_RUN_START, index=index,
+                                label=_config_label(config))
+
+    def done(self, index: int, result: RunResult, prefix: Optional[Any],
+             forked: bool) -> None:
+        if self.slots is not None:
+            self.slots[index] = result
+        if self.store is not None:
+            self.store.put(self.keys[index], result)
+        if self.journal is not None:
+            self.journal.record(K.CAMPAIGN_RUN_END,
+                                **_run_end_payload(index, result,
+                                                   prefix=prefix,
+                                                   forked=forked))
+        self.completed += 1
+        self.findings += not result.ok()
+        if self.renderer is not None:
+            self.renderer.update(self.completed,
+                                 findings=self.findings or None)
+
+    def error(self, index: int, err: BaseException) -> None:
+        if self.journal is not None:
+            self.journal.record(K.CAMPAIGN_WORKER_ERROR, index=index,
+                                error=repr(err))
+
+
+class _Recorder(ShardSink):
+    """A pool worker's sink: keeps captures and rows for the parent."""
+
+    def __init__(self) -> None:
+        self.calls: List[Tuple[str, tuple]] = []
+
+    def capture(self, payload: Dict[str, Any]) -> None:
+        self.calls.append(("capture", (payload,)))
+
+    def done(self, index: int, result: RunResult, prefix: Optional[Any],
+             forked: bool) -> None:
+        self.calls.append(("done", (index, result, prefix, forked)))
+
+
+def _pool_shard(body: Callable, seed: int, configs: Dict[int, Dict[str, Any]],
+                indices: List[int], *,
+                prefix_keys: Optional[Dict[int, Optional[Any]]],
+                telemetry: bool, oracle: Optional[Callable]
+                ) -> Tuple[List[Tuple[str, tuple]], Dict[str, int]]:
+    """Process-pool task: one chunk, recorded for the parent to replay."""
+    recorder = _Recorder()
+    stats = execute_shard(body, seed, configs, indices,
+                          prefix_keys=prefix_keys, telemetry=telemetry,
+                          oracle=oracle, sink=recorder)
+    return recorder.calls, stats
+
+
+def execute_shard(body: Callable, seed: int, configs: Any,
+                  indices: List[int], *,
+                  prefix_keys: Any = None, telemetry: bool = True,
+                  oracle: Optional[Callable] = None,
+                  pool: Optional[Any] = None,
+                  sink: Optional[ShardSink] = None,
+                  stats: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """Run ``indices`` of a sweep, publishing each row through ``sink``.
+
+    The one per-run loop behind every campaign transport.  ``configs``
+    and ``prefix_keys`` are indexed by sweep index (lists or dicts);
+    ``prefix_keys=None`` runs every configuration cold.  Indices are
+    grouped by prefix key (:func:`_prefix_groups`), and each group's
+    sharing is decided at its first run still to do: a checkpoint from
+    ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`; omitted,
+    a private one holding only the current group), else a fresh capture
+    when at least two runs remain to share it.  A capture or re-seed
+    refused with ``CheckpointError`` (the prefix drew from an RNG
+    stream, or holds an uncopyable callback) sends the rest of the
+    group cold; each such run counts as a fallback.  Results never
+    depend on whether sharing worked, only speed does.
+
+    A body failure is reported to ``sink.error`` and re-raised with the
+    global sweep index in an exception note (notes survive pickling
+    back from a pool worker).  Returns the shard's ``captures``,
+    ``forks`` and ``fallbacks`` counts, added into ``stats`` when given
+    (so a failed shard's partial counts still reach ``campaign.end``).
+    """
+    from repro.core.checkpoint import CheckpointError, CheckpointPool
+    if pool is None:
+        pool = CheckpointPool(max_items=1)
+    if sink is None:
+        sink = ShardSink()
+    if stats is None:
+        stats = {"captures": 0, "forks": 0, "fallbacks": 0}
+    groups = (_prefix_groups(indices, prefix_keys)
+              if prefix_keys is not None
+              else [(None, [index]) for index in indices])
+    for key, members in groups:
+        checkpoint, sharing, decided = None, False, key is None
+        for position, index in enumerate(members):
+            published = sink.lookup(index)
+            if published is not None:
+                sink.cached(index, published)
                 continue
-            if key != current_key:
-                from repro.core.checkpoint import CheckpointError
-                current_key = key
-                checkpoint = None
-                group_size = sum(1 for k in prefix_keys[position:]
-                                 if k == key)
-                if group_size > 1:
+            config = configs[index]
+            if not decided:
+                decided = True
+                digest = _prefix_digest(body, key)
+                remaining = len(members) - position
+                checkpoint = pool.get(digest)
+                sharing = checkpoint is not None or remaining > 1
+                if checkpoint is None and sharing:
                     try:
                         checkpoint = _capture_prefix(body, config, key)
                     except CheckpointError:
-                        checkpoint = None
+                        pass
                     else:
-                        stats["captured"].append(
-                            _capture_payload(key, checkpoint, group_size))
-            if checkpoint is not None:
-                from repro.core.checkpoint import CheckpointError
-                try:
-                    results.append(_execute_forked(
-                        body, seed, config, checkpoint,
-                        telemetry=telemetry, oracle=oracle))
-                    stats["forks"] += 1
-                    stats["forked"].append(True)
-                    continue
-                except CheckpointError:
-                    checkpoint = None
-                    stats["fallbacks"] += 1
-            results.append(_execute_config(body, seed, config,
-                                           telemetry=telemetry,
-                                           oracle=oracle))
-            stats["forked"].append(False)
-        except Exception as err:
-            err.add_note(
-                f"campaign config [{index}] failed: {config!r}")
-            raise
-    return results, stats
+                        pool.put(digest, checkpoint)
+                        stats["captures"] += 1
+                        sink.capture(_capture_payload(key, checkpoint,
+                                                      remaining))
+            sink.start(index, config)
+            forked = False
+            try:
+                if checkpoint is not None:
+                    try:
+                        result = _execute(body, seed, config,
+                                          checkpoint=checkpoint,
+                                          telemetry=telemetry, oracle=oracle)
+                        forked = True
+                    except CheckpointError:
+                        checkpoint = None
+                if not forked:
+                    result = _execute(body, seed, config,
+                                      telemetry=telemetry, oracle=oracle)
+            except Exception as err:
+                sink.error(index, err)
+                err.add_note(f"campaign config [{index}] failed: {config!r}")
+                raise
+            if forked:
+                stats["forks"] += 1
+            elif sharing:
+                stats["fallbacks"] += 1
+            sink.done(index, result, key, forked)
+    return stats

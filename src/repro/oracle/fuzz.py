@@ -31,7 +31,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
 
 from repro.core.distributions import derive_seed
 from repro.core.orchestrator import (Campaign, CampaignScriptError,
-                                     PrefixedBody, RunResult)
+                                     PrefixedBody, RunResult, _execute)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
@@ -440,47 +440,25 @@ class ForkEngine:
                                     identity=checkpoint.identity)
         return checkpoint
 
-    def run_config(self, config: Dict[str, object], *, oracle=None,
-                   cache=None) -> RunResult:
+    def run_config(self, config: Dict[str, object], *,
+                   oracle=None) -> RunResult:
         """Execute one configuration from its prefix checkpoint.
 
-        Matches :func:`~repro.core.orchestrator._execute_config`'s
-        seeding exactly: the fork is re-seeded to the run seed a cold
-        campaign would derive for this config.  ``cache`` (a
-        :class:`~repro.core.orchestrator.RunCache`) keys entries with
-        the checkpoint identity mixed in, so results from a different
-        prefix can never be returned for this one.
+        Runs through the campaign engine's own per-run step, so the
+        fork is re-seeded to the run seed a cold campaign would derive
+        for this config and the result is byte-identical to the cold
+        run's.
         """
         checkpoint = self.checkpoint_for(config["target"])
-        key = None
-        if cache is not None:
-            key = cache.key(fuzz_body, self.campaign_seed, config,
-                            telemetry=False, oracle=oracle,
-                            checkpoint=checkpoint.identity)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-        run_seed = derive_seed(self.campaign_seed,
-                               repr(sorted(config.items())))
-        forked = checkpoint.fork(seed=run_seed)
+        result = _execute(prefixed_fuzz_body, self.campaign_seed, config,
+                          checkpoint=checkpoint, telemetry=False,
+                          oracle=oracle)
         self.forks += 1
-        env = forked.env
-        result = _continue_body(env, forked.roots, dict(config))
-        violations = None
-        if oracle is not None:
-            from repro.oracle import evaluate
-            violations = evaluate(env.trace, oracle()).violations
-        run_result = RunResult(config=dict(config), result=result,
-                               trace=env.trace, violations=violations)
-        if cache is not None:
-            cache.put(key, run_result)
-        return run_result
+        return result
 
-    def run_case(self, case: FuzzCase, *, oracle=None,
-                 cache=None) -> RunResult:
+    def run_case(self, case: FuzzCase, *, oracle=None) -> RunResult:
         """Convenience: :meth:`config_for` + :meth:`run_config`."""
-        return self.run_config(self.config_for(case), oracle=oracle,
-                               cache=cache)
+        return self.run_config(self.config_for(case), oracle=oracle)
 
 
 # ----------------------------------------------------------------------

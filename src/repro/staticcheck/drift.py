@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.core.tclish.lint.diagnostics import LintReport, make
 from repro.netsim import kinds as kinds_registry
 
-from repro.staticcheck.harvest import Harvest, Subscription, harvest_paths
+from repro.staticcheck.harvest import Harvest, harvest_paths
 
 
 def _registry_lines() -> Dict[str, int]:

@@ -8,6 +8,7 @@ serial path produces.
 
 import pytest
 
+from repro.core.fabric import ResultStore
 from repro.core.orchestrator import Campaign
 
 
@@ -141,9 +142,10 @@ class TestAutoWorkers:
 
 
 class TestRunCache:
+    """The local result cache: a ResultStore passed as ``cache=``."""
+
     def test_second_sweep_hits_cache(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
         configs = _sweep_configs(count=3, events=25)
         first = campaign.run(configs, cache=cache)
@@ -155,8 +157,7 @@ class TestRunCache:
                 == [list(r.trace) for r in first])
 
     def test_seed_change_misses(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         configs = _sweep_configs(count=2, events=10)
         Campaign(sweep_body, seed=7).run(configs, cache=cache)
         Campaign(sweep_body, seed=8).run(configs, cache=cache)
@@ -164,16 +165,14 @@ class TestRunCache:
         assert cache.misses == 4
 
     def test_config_change_misses(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
         campaign.run(_sweep_configs(count=1, events=10), cache=cache)
         campaign.run(_sweep_configs(count=1, events=11), cache=cache)
         assert cache.hits == 0
 
     def test_body_identity_in_key(self, tmp_path):
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         configs = _sweep_configs(count=1, events=10)
         Campaign(sweep_body, seed=7).run(configs, cache=cache)
         # a different body with the same config/seed must not hit
@@ -183,8 +182,7 @@ class TestRunCache:
     def test_cached_parallel_mixed_with_fresh(self, tmp_path):
         # half the sweep cached, half fresh, fresh half parallel:
         # results must still come back complete and in input order
-        from repro.core.orchestrator import RunCache
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
         campaign.run(_sweep_configs(count=3, events=15), cache=cache)
         results = campaign.run(_sweep_configs(count=6, events=15),

@@ -11,9 +11,9 @@ cold path produces; only wall time may differ.
 import pytest
 
 from repro.core.checkpoint import CheckpointPool
-from repro.core.orchestrator import (Campaign, PrefixedBody, RunCache,
-                                     _prefix_chunks, _prefix_digest,
-                                     _prefix_groups)
+from repro.core.fabric import ResultStore
+from repro.core.orchestrator import (Campaign, PrefixedBody, _prefix_chunks,
+                                     _prefix_digest, _prefix_groups)
 from repro.netsim import kinds as K
 from repro.obs.journal import replay_journal
 
@@ -59,8 +59,16 @@ def drawing_prefix(env, config):
     return warm_prefix(env, config)
 
 
+def closure_prefix(env, config):
+    """A prefix leaving a closure on the heap: capture refuses it."""
+    state = warm_prefix(env, config)
+    env.scheduler.schedule(100.0, lambda: state)
+    return state
+
+
 split_body = PrefixedBody(warm_prefix, noisy_continue, key=group_key)
 drawing_body = PrefixedBody(drawing_prefix, noisy_continue, key=group_key)
+closure_body = PrefixedBody(closure_prefix, noisy_continue, key=group_key)
 
 
 def _configs(groups=("g1", "g2"), per_group=3):
@@ -171,6 +179,26 @@ class TestGroupedByteIdentity:
         assert end.get("prefix_forks") == 0
         assert end.get("prefix_fallbacks") > 0
 
+    def test_refused_capture_counts_alike_on_every_transport(self, tmp_path):
+        # one loop, one fallback rule: every run of a group whose capture
+        # failed counts as a fallback, serial, pool or fabric
+        campaign = Campaign(closure_body, seed=11, lint="off")
+        configs = _configs()
+        cold = campaign.run(configs, group=False)
+        runs = [("serial", {"workers": 1}), ("pool", {"workers": 2}),
+                ("fabric", {"workers": 2, "backend": "sockets"})]
+        ends = []
+        for name, options in runs:
+            fabric_dir = tmp_path / name
+            results = campaign.run(configs, fabric_dir=fabric_dir, **options)
+            assert _stable(results) == _stable(cold)
+            end = replay_journal(fabric_dir / "journals" /
+                                 "coordinator.jsonl").last(K.CAMPAIGN_END)
+            ends.append({key: end.get(key) for key in (
+                "prefix_captures", "prefix_forks", "prefix_fallbacks")})
+        assert ends == [{"prefix_captures": 0, "prefix_forks": 0,
+                         "prefix_fallbacks": len(configs)}] * len(runs)
+
     def test_explicit_prefix_key_none_opts_out(self, tmp_path):
         campaign = Campaign(split_body, seed=11)
         configs = [dict(c, prefix_key=None) for c in _configs()]
@@ -246,7 +274,7 @@ class TestAmortization:
         assert replay.last(K.CAMPAIGN_END).get("prefix_forks") == 1
 
     def test_cached_sweep_skips_capture_entirely(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(split_body, seed=11)
         configs = _configs()
         campaign.run(configs, cache=cache)
@@ -261,7 +289,7 @@ class TestAmortization:
             r.result for r in campaign.run(configs, group=False)]
 
     def test_cache_keys_are_group_flag_independent(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(split_body, seed=11)
         configs = _configs(per_group=2)
         campaign.run(configs, cache=cache, group=False)
@@ -269,7 +297,7 @@ class TestAmortization:
         assert cache.hits == len(configs)
 
     def test_changed_prefix_function_misses_cache(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         configs = _configs(per_group=2)
         Campaign(split_body, seed=11).run(configs, cache=cache)
         Campaign(drawing_body, seed=11).run(configs, cache=cache)

@@ -67,6 +67,18 @@ def chaos_body(env, config):
     return {"item": config["item"], "ticks": state["ticks"]}
 
 
+def failing_body(env, config):
+    """:func:`chaos_body`, except the item named by ``RIG_FAIL_ITEM`` raises.
+
+    Like ``RIG_WORK_MS`` the trigger is an environment variable, so a
+    failing local sweep and the clean resume that follows it address
+    identical configs, store keys and spec digest.
+    """
+    if str(config["item"]) == os.environ.get("RIG_FAIL_ITEM"):
+        raise RuntimeError(f"planted failure at item {config['item']}")
+    return chaos_body(env, config)
+
+
 def make_configs(count: int) -> List[Dict[str, Any]]:
     return [{"item": index, "ticks": 3} for index in range(count)]
 

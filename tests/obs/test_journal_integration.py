@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.orchestrator import Campaign, CampaignScriptError, RunCache
+from repro.core.fabric import ResultStore
+from repro.core.orchestrator import Campaign, CampaignScriptError
 from repro.netsim import kinds as K
 from repro.obs.campaign_report import (render_text, summarize_journal,
                                        summary_to_json)
@@ -67,7 +68,7 @@ class TestCampaignJournal:
 
     def test_cache_hits_record_cached_run_end(self, tmp_path):
         configs = _sweep_configs(count=2, events=50)
-        cache = RunCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(sweep_body, seed=7)
         campaign.run(configs, cache=cache)
         campaign.run(configs, cache=cache, journal=tmp_path / "j.jsonl")

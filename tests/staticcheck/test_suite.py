@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.core.tclish.lint import lint_source
 from repro.core.tclish.lint.diagnostics import CODES

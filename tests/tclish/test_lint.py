@@ -7,7 +7,6 @@ as no message at all.
 
 from repro.core.tclish.lint import (
     CODES,
-    CommandRegistry,
     CommandSignature,
     Diagnostic,
     LintReport,
