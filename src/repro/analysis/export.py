@@ -8,15 +8,31 @@ external tooling, and loads them back for offline queries.
 Non-JSON-native attribute values (tuples, sets, bytes) are converted to
 JSON-friendly forms on export; tuples come back as lists, which the
 comparison helpers normalize.
+
+Every line is rendered by :func:`encode_entry`, and :class:`TraceDigest`
+hashes the same text incrementally, so a digest of a shared prefix can
+be extended by each continuation instead of re-encoding the prefix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, Optional, Union
+from typing import (IO, AbstractSet, Any, Dict, Iterable, Optional,
+                    Union)
 
 from repro.netsim.trace import TraceEntry, TraceRecorder
+
+#: the one encoder every export line goes through.  It only ever sees
+#: scalars and trees ``_jsonable`` has just built, so the circular-reference
+#: check has nothing to find; the text matches ``json.dumps(...,
+#: sort_keys=True)`` byte for byte
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+#: attribute value types that are already JSON-native, tested by exact
+#: type on the per-entry fast path (subclasses go through ``_jsonable``)
+_PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 def _jsonable(value: Any) -> Any:
@@ -27,7 +43,14 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
+        items = [_jsonable(v) for v in value]
+        try:
+            return sorted(items)
+        except TypeError:
+            # mixed element types have no natural order; their encoded
+            # text always has one, and elements whose text ties export
+            # identically, so set iteration order never shows
+            return sorted(items, key=_ENCODER.encode)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return repr(value)
@@ -50,13 +73,30 @@ def _from_jsonable(value: Any) -> Any:
 VOLATILE_ATTRS = ("uid", "original", "parent")
 
 
+def _entry_dict(entry: TraceEntry,
+                excluded: AbstractSet[str]) -> Dict[str, Any]:
+    return {"t": entry.time, "kind": entry.kind,
+            "attrs": {k: v if type(v) in _PLAIN else _jsonable(v)
+                      for k, v in entry.attrs.items()
+                      if k not in excluded}}
+
+
 def entry_to_dict(entry: TraceEntry, *,
                   exclude_attrs: Iterable[str] = ()) -> Dict[str, Any]:
     """One trace entry as a plain JSON-compatible dict."""
-    excluded = set(exclude_attrs)
-    return {"t": entry.time, "kind": entry.kind,
-            "attrs": {k: _jsonable(v) for k, v in entry.attrs.items()
-                      if k not in excluded}}
+    return _entry_dict(entry, frozenset(exclude_attrs))
+
+
+def encode_entry(entry: TraceEntry,
+                 excluded: AbstractSet[str] = frozenset()) -> str:
+    """One trace entry as its export line (without the newline).
+
+    Every export path renders entries through here, so a dump, a
+    stream, a comparison and an outcome digest of the same entry always
+    see the same text.  ``excluded`` is a set of attribute names to
+    drop; callers build it once per trace, not once per entry.
+    """
+    return _ENCODER.encode(_entry_dict(entry, excluded))
 
 
 def dump_trace(trace: Iterable[TraceEntry],
@@ -68,10 +108,8 @@ def dump_trace(trace: Iterable[TraceEntry],
     ``exclude_attrs`` drops named attributes from every entry; pass
     :data:`VOLATILE_ATTRS` when the dump is for run-to-run comparison.
     """
-    exclude = tuple(exclude_attrs)
-    lines = [json.dumps(entry_to_dict(entry, exclude_attrs=exclude),
-                        sort_keys=True)
-             for entry in trace]
+    excluded = frozenset(exclude_attrs)
+    lines = [encode_entry(entry, excluded) for entry in trace]
     text = "\n".join(lines)
     if fp is not None:
         fp.write(text)
@@ -91,12 +129,11 @@ def stream_trace(trace: Iterable[TraceEntry], fp: IO[str], *,
     everything because it also returns the text).  The byte output is
     identical to ``dump_trace(trace, fp)``.  Returns the entry count.
     """
-    exclude = tuple(exclude_attrs)
+    excluded = frozenset(exclude_attrs)
     buffer: list = []
     count = 0
     for entry in trace:
-        buffer.append(json.dumps(entry_to_dict(entry, exclude_attrs=exclude),
-                                 sort_keys=True))
+        buffer.append(encode_entry(entry, excluded))
         count += 1
         if len(buffer) >= buffer_lines:
             fp.write("\n".join(buffer))
@@ -106,6 +143,48 @@ def stream_trace(trace: Iterable[TraceEntry], fp: IO[str], *,
         fp.write("\n".join(buffer))
         fp.write("\n")
     return count
+
+
+class TraceDigest:
+    """An incremental sha256 of :func:`dump_trace` text.
+
+    ``TraceDigest(exclude_attrs).update(entries).hexdigest()`` equals
+    ``sha256(dump_trace(entries, exclude_attrs=...).encode()).hexdigest()``
+    however the entries are split across :meth:`update` calls.  A
+    digest of a shared trace prefix can be :meth:`copy`-ed and each copy
+    extended with a different continuation, so the prefix is encoded
+    once instead of once per continuation.  ``count`` is the number of
+    entries digested so far.
+    """
+
+    __slots__ = ("_excluded", "_sha", "count")
+
+    def __init__(self, exclude_attrs: Iterable[str] = ()):
+        self._excluded = frozenset(exclude_attrs)
+        self._sha = hashlib.sha256()
+        self.count = 0
+
+    def update(self, entries: Iterable[TraceEntry]) -> "TraceDigest":
+        """Digest ``entries`` as the next lines of the dump; returns self."""
+        excluded = self._excluded
+        lines = [encode_entry(entry, excluded) for entry in entries]
+        if lines:
+            text = "\n".join(lines)
+            self._sha.update(
+                ("\n" + text if self.count else text).encode())
+            self.count += len(lines)
+        return self
+
+    def copy(self) -> "TraceDigest":
+        """An independent digest of the same entries so far."""
+        clone = TraceDigest.__new__(TraceDigest)
+        clone._excluded = self._excluded
+        clone._sha = self._sha.copy()
+        clone.count = self.count
+        return clone
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
 
 
 def export_trace(trace: Iterable[TraceEntry], path: Union[str, Path], *,
@@ -139,6 +218,5 @@ def traces_equal(a: Iterable[TraceEntry], b: Iterable[TraceEntry]) -> bool:
     Useful for regression pinning: run an experiment twice (or across
     versions) and assert the traces match exactly.
     """
-    norm_a = [json.dumps(entry_to_dict(e), sort_keys=True) for e in a]
-    norm_b = [json.dumps(entry_to_dict(e), sort_keys=True) for e in b]
-    return norm_a == norm_b
+    return ([encode_entry(e) for e in a]
+            == [encode_entry(e) for e in b])

@@ -34,15 +34,21 @@ that diverges at step d costs one fork plus the steps past d, not d
 re-simulated events.  The per-schedule event counts are tracked
 (``ExploreReport.simulated_events``) and the nested tree is bounded by
 an LRU :class:`CheckpointPool`.
+
+Outcome hashes are incremental for the same reason: every tree node
+carries the digest state of its checkpoint's trace prefix, so a
+schedule encodes only the entries recorded after the node it forked
+from, while the hash stays byte-identical to a full
+``sha256(dump_trace(trace, exclude_attrs=VOLATILE_ATTRS))``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.export import VOLATILE_ATTRS, dump_trace
+from repro.analysis.export import VOLATILE_ATTRS, TraceDigest
 from repro.core.checkpoint import Checkpoint, CheckpointPool
 from repro.core.orchestrator import make_env
 from repro.netsim import kinds as K
@@ -192,10 +198,24 @@ def _prefix_checkpoint(protocol: str, target: str, depth: float,
         env, roots, label=f"explore/{protocol}/{target}@{depth:g}")
 
 
-class _Tree:
-    """The nested-checkpoint tree one exploration grows and reforks from.
+@dataclass
+class _Node:
+    """One forkable point of the checkpoint tree."""
 
-    Nodes are keyed ``(applied_pairs, step)``: the world after ``step``
+    checkpoint: Checkpoint
+    #: baseline-window iterations already executed at this point
+    step: int
+    #: perturbations the branch applied before this point
+    applied: Tuple[Perturbation, ...]
+    #: digest of the checkpoint's trace prefix (None until first needed)
+    digest: Optional[TraceDigest] = None
+
+
+class _Tree:
+    """The checkpoint tree one exploration grows and reforks from.
+
+    The root is the exploration's prefix checkpoint.  Nested nodes are
+    keyed ``(applied_pairs, step)``: the world after ``step``
     baseline-window iterations with exactly the perturbations in
     ``applied_pairs`` applied.  A later plan reforks from the deepest
     live node whose applied prefix equals the plan's own entries below
@@ -204,49 +224,53 @@ class _Tree:
     what its plan asked for.  Nodes are captured only along branches a
     longer plan could still extend (fewer than ``max_prefix``
     perturbations applied) and live in an LRU-bounded
-    :class:`CheckpointPool`.
+    :class:`CheckpointPool`; ``every=0`` grows no nested nodes at all.
     """
 
     def __init__(self, root: Checkpoint, *, every: int, max_prefix: int,
                  journal: Optional[Journal] = None):
-        self.root = root
+        self.root = _Node(root, 0, ())
         self.every = every
         self.max_prefix = max_prefix
         self.pool = CheckpointPool(max_items=_TREE_ITEMS)
-        self._applied: Dict[Any, Tuple[Perturbation, ...]] = {}
+        self._nodes: Dict[Any, _Node] = {}
         self.journal = journal
         self.captures = 0
 
-    def start_for(self, plan: Dict[int, str]
-                  ) -> Tuple[Checkpoint, int, Tuple[Perturbation, ...]]:
+    def start_for(self, plan: Dict[int, str]) -> _Node:
         """The nearest ancestor to fork for ``plan``: deepest match wins."""
-        best = (self.root, 0, ())
+        best = self.root
         for key in self.pool.keys():
             pairs, step = key
-            if step <= best[1]:
+            if step <= best.step:
                 continue
             prefix = {s: a for s, a in plan.items() if s < step}
             if len(pairs) == len(prefix) and dict(pairs) == prefix:
-                checkpoint = self.pool.get(key)
-                if checkpoint is not None:
-                    best = (checkpoint, step, self._applied.get(key, ()))
+                if self.pool.get(key) is not None:
+                    best = self._nodes[key]
         return best
 
     def maybe_capture(self, forked, step: int,
-                      applied: List[Perturbation]) -> None:
-        """Re-checkpoint a running branch at its ``every``-step marks."""
+                      applied: List[Perturbation]) -> Optional[_Node]:
+        """Re-checkpoint a running branch at its ``every``-step marks;
+        returns the new node, if one was captured."""
         if self.every <= 0 or step <= 0 or step % self.every:
-            return
+            return None
         if len(applied) >= self.max_prefix:
-            return  # no longer plan can extend this branch
+            return None  # no longer plan can extend this branch
         key = (tuple((p.step, p.action) for p in applied), step)
         if key in self.pool:
-            return
+            return None
         checkpoint = Checkpoint.capture(
-            forked, label=f"{self.root.label}+{len(applied)}p@{step}",
+            forked, label=f"{self.root.checkpoint.label}"
+                          f"+{len(applied)}p@{step}",
             audit=False)
         self.pool.put(key, checkpoint)
-        self._applied[key] = tuple(applied)
+        node = self._nodes[key] = _Node(checkpoint, step, tuple(applied))
+        if len(self._nodes) > len(self.pool):
+            # the pool evicted: its nodes' digests go with the snapshots
+            self._nodes = {k: n for k, n in self._nodes.items()
+                           if k in self.pool}
         self.captures += 1
         if self.journal is not None:
             self.journal.record(
@@ -254,33 +278,53 @@ class _Tree:
                 prefix_perturbations=len(applied),
                 label=checkpoint.label, identity=checkpoint.identity,
                 parent=checkpoint.parent.identity)
+        return node
 
 
-def _run_schedule(checkpoint: Checkpoint, plan: Dict[int, str], *,
-                  window: float, horizon: float, defer_delta: float,
-                  oracle, tree: Optional[_Tree] = None,
-                  counters: Optional[Dict[str, int]] = None
+def _outcome_digest(trace, start: _Node, captured: List[_Node]) -> str:
+    """The schedule's outcome hash, encoding only what it recorded.
+
+    Equals ``sha256(dump_trace(trace, exclude_attrs=VOLATILE_ATTRS))``:
+    the entries below ``start``'s trace position are the checkpoint's
+    shared prefix, already digested in ``start.digest`` (computed here
+    once if absent).  On the way to the end of the trace, the digest is
+    copied onto every node this schedule ``captured``, so later
+    schedules forking from them resume there.  Encoding happens after
+    the run, as the one-shot dump did, so an entry attribute that
+    aliases live state is read in its final form either way.
+    """
+    if start.digest is None:
+        start.digest = TraceDigest(VOLATILE_ATTRS).update(
+            islice(trace, start.checkpoint.position))
+    digest = start.digest.copy()
+    for node in captured:
+        node.digest = digest.update(islice(
+            trace, digest.count, node.checkpoint.position)).copy()
+    digest.update(islice(trace, digest.count, None))
+    return digest.hexdigest()[:16]
+
+
+def _run_schedule(tree: _Tree, plan: Dict[int, str], *, window: float,
+                  horizon: float, defer_delta: float, oracle,
+                  counters: Dict[str, int]
                   ) -> Tuple[Tuple[Perturbation, ...], List, str]:
     """Execute one schedule; returns (applied plan, violations, hash).
 
-    With a ``tree``, the schedule starts from its nearest ancestor
-    checkpoint (skipping every event that ancestor already simulated)
-    and leaves new nested checkpoints along its own branch for later
-    schedules; the result is byte-identical to a flat root fork, only
-    the number of re-simulated events changes (tracked in
-    ``counters``).
+    The schedule starts from its nearest ancestor in ``tree`` (skipping
+    every event that ancestor already simulated) and leaves new nested
+    checkpoints along its own branch for later schedules; the result is
+    byte-identical to a flat root fork, only the number of re-simulated
+    events changes (tracked in ``counters``).
     """
-    if tree is not None:
-        start, start_step, prefix_applied = tree.start_for(plan)
-    else:
-        start, start_step, prefix_applied = checkpoint, 0, ()
-    forked = start.fork()
+    start = tree.start_for(plan)
+    forked = start.checkpoint.fork()
     env = forked.env
     scheduler = env.scheduler
     dispatched_before = scheduler.dispatched_count
-    end = checkpoint.time + window
-    step = start_step
-    applied: List[Perturbation] = list(prefix_applied)
+    end = tree.root.checkpoint.time + window
+    step = start.step
+    applied: List[Perturbation] = list(start.applied)
+    captured: List[_Node] = []
     while True:
         event = scheduler.peek_entry()
         if event is None or event.time > end:
@@ -296,19 +340,17 @@ def _run_schedule(checkpoint: Checkpoint, plan: Dict[int, str], *,
         else:
             scheduler.step()
         step += 1
-        if tree is not None:
-            tree.maybe_capture(forked, step, applied)
+        node = tree.maybe_capture(forked, step, applied)
+        if node is not None:
+            captured.append(node)
     env.run_until(horizon)
-    if counters is not None:
-        counters["events"] += scheduler.dispatched_count - dispatched_before
-        if start_step > 0:
-            counters["ancestor_forks"] += 1
+    counters["events"] += scheduler.dispatched_count - dispatched_before
+    if start.step > 0:
+        counters["ancestor_forks"] += 1
     from repro.oracle import evaluate
     violations = evaluate(env.trace, oracle()).violations
-    digest = hashlib.sha256(
-        dump_trace(env.trace,
-                   exclude_attrs=VOLATILE_ATTRS).encode()).hexdigest()
-    return tuple(applied), violations, digest[:16]
+    return (tuple(applied), violations,
+            _outcome_digest(env.trace, start, captured))
 
 
 def _survey(checkpoint: Checkpoint, *, window: float
@@ -440,9 +482,8 @@ def _explore_journaled(protocol: str, target: str,
     report = ExploreReport(protocol=protocol, target=target, depth=depth,
                            window=window, horizon=horizon, seed=seed,
                            recheckpoint_every=max(0, recheckpoint_every))
-    tree = (_Tree(checkpoint, every=recheckpoint_every,
-                  max_prefix=max_perturbations, journal=journal)
-            if recheckpoint_every > 0 else None)
+    tree = _Tree(checkpoint, every=recheckpoint_every,
+                 max_prefix=max_perturbations, journal=journal)
     counters = {"events": 0, "ancestor_forks": 0}
     renderer = (ProgressRenderer(f"explore {protocol}/{target}",
                                  total=None, unit="schedules",
@@ -455,8 +496,8 @@ def _explore_journaled(protocol: str, target: str,
         for plan in _plans(steps, max_perturbations=max_perturbations,
                            max_schedules=max_schedules):
             applied, violations, outcome_hash = _run_schedule(
-                checkpoint, plan, window=window, horizon=horizon,
-                defer_delta=defer_delta, oracle=oracle, tree=tree,
+                tree, plan, window=window, horizon=horizon,
+                defer_delta=defer_delta, oracle=oracle,
                 counters=counters)
             codes = sorted({v.code for v in violations})
             novel = outcome_hash not in seen_hashes
@@ -494,7 +535,7 @@ def _explore_journaled(protocol: str, target: str,
         report.distinct_outcomes = len(seen_hashes)
         report.simulated_events = counters["events"]
         report.ancestor_forks = counters["ancestor_forks"]
-        report.nested_captures = tree.captures if tree is not None else 0
+        report.nested_captures = tree.captures
         if journal is not None:
             journal.record(K.CAMPAIGN_END, status=status,
                            executed=report.schedules,

@@ -113,3 +113,21 @@ def test_export_trace_roundtrips_via_file(tmp_path):
     assert count == len(trace)
     restored = load_trace(path.read_text())
     assert traces_equal(trace, restored)
+
+
+def test_mixed_type_set_orders_by_encoded_text():
+    trace = TraceRecorder(clock=lambda: 0.0)
+    trace.record("x", t=0.0, s={1, "a", b"\x00"}, naturals={10, 9})
+    text = dump_trace(trace)
+    # no natural order between int, str and bytes: encoded text decides
+    # ('"' < '1' < '{'); a naturally ordered set keeps its natural order
+    assert text == ('{"attrs": {"naturals": [9, 10], '
+                    '"s": ["a", 1, {"__bytes__": "00"}]}, '
+                    '"kind": "x", "t": 0.0}')
+    from repro.analysis.export import stream_trace
+    streamed = io.StringIO()
+    stream_trace(trace, streamed)
+    assert streamed.getvalue() == text + "\n"
+    restored = load_trace(text)
+    assert restored.first("x")["s"] == ["a", 1, b"\x00"]
+    assert traces_equal(trace, restored)

@@ -1,7 +1,13 @@
 """Tests for the bounded delivery-order explorer (repro.oracle.explore)."""
 
+import gc
+import hashlib
+import weakref
+
 import pytest
 
+import repro.oracle.explore as explore_mod
+from repro.analysis.export import VOLATILE_ATTRS, dump_trace
 from repro.netsim.link import Link
 from repro.netsim.scheduler import Scheduler
 from repro.netsim.timer import Timer
@@ -163,3 +169,73 @@ def test_explore_nested_is_deterministic():
                 report.simulated_events, report.nested_captures,
                 report.ancestor_forks)
     assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# incremental outcome digests
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("every", (0, 8), ids=("flat", "nested"))
+@pytest.mark.parametrize("args,kwargs", [
+    (("gmp", "self_death"), {}),
+    (("gmp", "fixed"), {}),
+    (("tcp", "SunOS 4.1.3"), {"depth": 2.0, "window": 3.0,
+                              "max_schedules": 24}),
+], ids=("gmp-self_death", "gmp-fixed", "tcp-sunos"))
+def test_outcome_hash_is_the_one_shot_dump_digest(monkeypatch, every,
+                                                 args, kwargs):
+    # every schedule's hash is the full canonical dump's, however much
+    # of its trace prefix the tree had already digested
+    incremental = explore_mod._outcome_digest
+    expected = []
+
+    def checked(trace, start, captured):
+        expected.append(hashlib.sha256(dump_trace(
+            trace, exclude_attrs=VOLATILE_ATTRS).encode()).hexdigest()[:16])
+        return incremental(trace, start, captured)
+
+    monkeypatch.setattr(explore_mod, "_outcome_digest", checked)
+    report = explore(*args, recheckpoint_every=every, **kwargs)
+    assert report.schedules > 1
+    assert [o.outcome_hash for o in report.outcomes] == expected
+    if every:
+        assert report.ancestor_forks > 0
+
+
+def _track_root(monkeypatch):
+    refs = []
+    capture = explore_mod._prefix_checkpoint
+
+    def tracked(*args):
+        checkpoint = capture(*args)
+        refs.append(weakref.ref(checkpoint))
+        return checkpoint
+
+    monkeypatch.setattr(explore_mod, "_prefix_checkpoint", tracked)
+    return refs
+
+
+def test_explore_retains_nothing_after_returning(monkeypatch):
+    refs = _track_root(monkeypatch)
+    report = explore("gmp", "self_death", max_schedules=12)
+    assert report.nested_captures > 0
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+
+
+def test_explore_retains_nothing_after_raising(monkeypatch):
+    refs = _track_root(monkeypatch)
+    incremental = explore_mod._outcome_digest
+    calls = [0]
+
+    def failing(trace, start, captured):
+        calls[0] += 1
+        if calls[0] == 6:  # mid-run: the tree already holds digests
+            raise RuntimeError("digest interrupted")
+        return incremental(trace, start, captured)
+
+    monkeypatch.setattr(explore_mod, "_outcome_digest", failing)
+    with pytest.raises(RuntimeError, match="digest interrupted"):
+        explore("gmp", "self_death", max_schedules=12)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
