@@ -259,8 +259,9 @@ class CheckpointPool:
     never evicted, so a single oversized checkpoint still pools.
 
     ``get`` refreshes recency and counts a hit; a miss (including a
-    previously evicted key) counts against ``misses`` so consumers such
-    as :class:`repro.oracle.fuzz.ForkEngine` can report reuse rates.
+    previously evicted key) counts against ``misses`` so consumers --
+    campaign sweeps, forked fuzz trials, shrink probes, all keyed by
+    the campaign's prefix digest -- can report reuse rates.
     """
 
     def __init__(self, max_items: Optional[int] = None,

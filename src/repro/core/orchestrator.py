@@ -54,7 +54,7 @@ from repro.netsim.scheduler import Scheduler, SchedulerClock, SchedulerError
 from repro.netsim.trace import TraceRecorder
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
-from repro.obs.telemetry import RunTelemetry, _config_label, render_scorecard
+from repro.obs.telemetry import RunTelemetry, _config_label
 
 if TYPE_CHECKING:
     from repro.core.fabric.store import ResultStore
@@ -494,7 +494,6 @@ class Campaign:
 
     def run(self, configs: Iterable[Dict[str, Any]], *,
             workers: Union[int, str] = 1, telemetry: bool = True,
-            scorecard: bool = False,
             cache: Optional["ResultStore"] = None,
             oracle: Optional[Callable[[], List[Any]]] = None,
             journal: Union[None, str, Path, Journal] = None,
@@ -520,9 +519,9 @@ class Campaign:
         ``telemetry`` (default on) records per-configuration wall time,
         dispatched-event count, final virtual time and trace volume onto
         ``RunResult.telemetry``; ``telemetry=False`` restores the bare
-        execution path.  ``scorecard=True`` additionally prints the
-        campaign scorecard (:func:`repro.obs.telemetry.render_scorecard`)
-        after the sweep completes.
+        execution path.  ``print(render_scorecard(results))``
+        (:func:`repro.obs.telemetry.render_scorecard`) prints the sweep
+        table.
 
         ``cache`` (a :class:`~repro.core.fabric.store.ResultStore`,
         default off) returns stored results for configurations this
@@ -558,8 +557,9 @@ class Campaign:
         configuration cold (the reference path benches and byte-
         identity tests compare against).  ``prefix_pool`` (a
         :class:`~repro.core.checkpoint.CheckpointPool`) carries
-        captured prefixes across ``run`` calls in this process;
-        omitted, each sweep uses a private pool.
+        captured prefixes across ``run`` calls in this process, so
+        even a one-config group captures into it; omitted, each sweep
+        uses a private pool.
 
         ``backend`` selects the execution fabric
         (:mod:`repro.core.fabric.backends`).  ``"local"`` -- the
@@ -592,13 +592,10 @@ class Campaign:
                     'backend="sockets" owns caching and journaling '
                     "(the result store and per-shard journals live in "
                     "fabric_dir); pass fabric_dir= only")
-            results = run_sockets_campaign(
+            return run_sockets_campaign(
                 self, config_list, fabric_dir=fabric_dir,
                 workers=workers, telemetry=telemetry, oracle=oracle,
                 group=group, fabric_options=fabric_options)
-            if scorecard:
-                print(render_scorecard(results))
-            return results
         if fabric_dir is not None:
             from repro.core.fabric.store import ResultStore
             fabric_path = Path(fabric_dir)
@@ -610,7 +607,7 @@ class Campaign:
         try:
             return self._run_journaled(
                 config_list, journal_obj, workers=workers,
-                telemetry=telemetry, scorecard=scorecard, cache=cache,
+                telemetry=telemetry, cache=cache,
                 oracle=oracle, progress=progress, group=group,
                 prefix_pool=prefix_pool)
         finally:
@@ -620,7 +617,7 @@ class Campaign:
     def _run_journaled(self, config_list: List[Dict[str, Any]],
                        journal: Optional[Journal], *,
                        workers: Union[int, str], telemetry: bool,
-                       scorecard: bool, cache: Optional["ResultStore"],
+                       cache: Optional["ResultStore"],
                        oracle: Optional[Callable],
                        progress: Optional[Callable[[str], None]],
                        group: bool = True,
@@ -703,10 +700,7 @@ class Campaign:
                     payload.update(_prefix_stats_payload(stats))
                 journal.record(K.CAMPAIGN_END, **payload)
 
-        results = [result for result in slots if result is not None]
-        if scorecard:
-            print(render_scorecard(results))
-        return results
+        return [result for result in slots if result is not None]
 
     def _run_parallel(self, todo: List[int],
                       config_list: List[Dict[str, Any]],
@@ -1015,7 +1009,8 @@ def execute_shard(body: Callable, seed: int, configs: Any,
     sharing is decided at its first run still to do: a checkpoint from
     ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`; omitted,
     a private one holding only the current group), else a fresh capture
-    when at least two runs remain to share it.  A capture or re-seed
+    when another run remains to share it or when the caller passed
+    ``pool``, which outlives this call.  A capture or re-seed
     refused with ``CheckpointError`` (the prefix drew from an RNG
     stream, or holds an uncopyable callback) sends the rest of the
     group cold; each such run counts as a fallback.  Results never
@@ -1028,6 +1023,7 @@ def execute_shard(body: Callable, seed: int, configs: Any,
     (so a failed shard's partial counts still reach ``campaign.end``).
     """
     from repro.core.checkpoint import CheckpointError, CheckpointPool
+    keeps_captures = pool is not None
     if pool is None:
         pool = CheckpointPool(max_items=1)
     if sink is None:
@@ -1050,7 +1046,8 @@ def execute_shard(body: Callable, seed: int, configs: Any,
                 digest = _prefix_digest(body, key)
                 remaining = len(members) - position
                 checkpoint = pool.get(digest)
-                sharing = checkpoint is not None or remaining > 1
+                sharing = (checkpoint is not None or remaining > 1
+                           or keeps_captures)
                 if checkpoint is None and sharing:
                     try:
                         checkpoint = _capture_prefix(body, config, key)

@@ -190,23 +190,31 @@ class Interp:
         Accepts source text or an already-compiled script.  Source text is
         resolved through the shared compile cache (parse once, execute per
         call) unless the interpreter was built with ``compiled=False``.
+
+        Runaway nesting (a proc that calls itself forever) exhausts the
+        Python stack; the innermost evaluation turns that into the
+        :class:`TclError` Tcl reports, so ``catch`` can handle it.
         """
         self.eval_count += 1
-        if type(script) is str:
-            if not self.compiled:
-                result = ""
-                for command in split_commands(script):
-                    result = self.eval_command(command)
-                return result
-            script, hit = compiler.lookup(script)
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-        result = ""
-        for command in script.commands:
-            result = self._exec_compiled(command)
-        return result
+        try:
+            if type(script) is str:
+                if not self.compiled:
+                    result = ""
+                    for command in split_commands(script):
+                        result = self.eval_command(command)
+                    return result
+                script, hit = compiler.lookup(script)
+                if hit:
+                    self.cache_hits += 1
+                else:
+                    self.cache_misses += 1
+            result = ""
+            for command in script.commands:
+                result = self._exec_compiled(command)
+            return result
+        except RecursionError:
+            raise TclError(
+                "too many nested evaluations (infinite loop?)") from None
 
     def compile(self, source: str) -> CompiledScript:
         """Compile (and cache) a script without evaluating it."""

@@ -31,13 +31,14 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional,
 
 from repro.core.distributions import derive_seed
 from repro.core.orchestrator import (Campaign, CampaignScriptError,
-                                     PrefixedBody, RunResult, _execute)
+                                     PrefixedBody, RunResult, _Recorder,
+                                     _prefix_stats_payload, execute_shard)
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
 from repro.obs.progress import ProgressRenderer
 
 if TYPE_CHECKING:
-    from repro.core.checkpoint import Checkpoint, CheckpointPool
+    from repro.core.checkpoint import CheckpointPool
 from repro.oracle.grammar import (FuzzScript, generate_script, mutate_script,
                                   trial_seed)
 from repro.oracle.invariants import Violation
@@ -75,10 +76,10 @@ DEFAULT_DEPTHS = {"tcp": 0.0, "gmp": GMP_INSTALL_AT}
 # filter script arms: rig construction plus the script-free warmup) and
 # a *continuation* (install the script, run the workload to the
 # horizon).  The cold path runs prefix+continuation back to back; the
-# checkpointed path (:class:`ForkEngine`) captures one prefix per
-# target and re-runs only continuations.  Keeping both paths on the
-# same two functions is what makes forked trials byte-identical to cold
-# ones by construction.
+# checkpointed path (:func:`_run_forked`, the campaign executor on a
+# shared pool) captures one prefix per target and re-runs only
+# continuations.  Keeping both paths on the same two functions is what
+# makes forked trials byte-identical to cold ones by construction.
 # ----------------------------------------------------------------------
 
 def _gmp_bug_flags(variant: str):
@@ -322,7 +323,7 @@ class FuzzReport:
     coverage: FrozenSet[Tuple] = frozenset()
     #: overall execution rate (virtual trials per wall second)
     trials_per_sec: float = 0.0
-    #: prefix depth when the checkpointed engine ran; None = cold path
+    #: prefix depth when trials ran forked; None = cold path
     checkpoint_depth: Optional[float] = None
     #: fraction of trials served by forking an existing checkpoint
     checkpoint_hit_rate: Optional[float] = None
@@ -353,112 +354,50 @@ class FuzzReport:
 # checkpointed execution
 # ----------------------------------------------------------------------
 
-class ForkEngine:
-    """Executes fuzz cases by forking per-target prefix checkpoints.
+def _config_at(case: FuzzCase, depth: float) -> Dict[str, object]:
+    """The campaign config ``case`` runs as with its filter armed at ``depth``.
 
-    One warmed-up, script-free prefix is captured per fuzz target
-    (vendor profile / bug variant) at the configured depth; every trial
-    against that target then forks the checkpoint, re-seeds the fork to
-    the trial's run seed, and runs only the continuation.  Because the
-    cold path (:func:`fuzz_body`) is built from the same
-    prefix/continuation functions, a forked trial is byte-identical to
-    the cold run of the same configuration -- the property suite pins
-    this, and it is why engine results are interchangeable with
-    :class:`~repro.core.orchestrator.Campaign` results.
-
-    ``depth`` defaults to the protocol's stock install time
-    (:data:`DEFAULT_DEPTHS`), in which case engine configs carry no
-    ``install_at`` key and run seeds match the legacy path exactly.  A
-    non-default depth is recorded in each config (changing its run
-    seed): those are *different* experiments, not cheaper replays of
-    the stock ones.
+    Adds ``install_at`` only at non-default depths, so default-depth
+    forked runs share run seeds (and results) with the cold path; other
+    depths are *different* experiments, not cheaper replays.
     """
+    config = case.config()
+    if depth != DEFAULT_DEPTHS[case.protocol]:
+        config["install_at"] = depth
+    return config
 
-    def __init__(self, protocol: str, *, campaign_seed: int = 0,
-                 depth: Optional[float] = None,
-                 journal: Optional[Journal] = None,
-                 pool: Optional["CheckpointPool"] = None):
-        if protocol not in DEFAULT_DEPTHS:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        from repro.core.checkpoint import CheckpointPool
-        self.protocol = protocol
-        self.campaign_seed = campaign_seed
-        self.depth = (DEFAULT_DEPTHS[protocol] if depth is None
-                      else float(depth))
-        #: prefix snapshots, keyed ``(protocol, target, depth)`` --
-        #: pass a shared :class:`CheckpointPool` to let several engines
-        #: (fuzz loop, per-finding shrinkers) reuse one another's
-        #: captures instead of re-simulating the same warmup
-        self.pool = pool if pool is not None else CheckpointPool()
-        #: flight recorder each prefix capture is reported to (optional)
-        self.journal = journal
-        #: trials served by forking (every trial is one fork)
-        self.forks = 0
-        #: prefix simulations actually run (one per distinct target)
-        self.captures = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of trials that reused an already-captured prefix."""
-        if not self.forks:
-            return 0.0
-        return (self.forks - self.captures) / self.forks
+def _run_forked(configs: List[Dict[str, object]], campaign_seed: int,
+                oracle, pool: "CheckpointPool",
+                stats: Optional[Dict[str, int]] = None
+                ) -> Tuple[List[Tuple[RunResult, object, bool]],
+                           List[Dict[str, object]]]:
+    """Run ``configs`` as forks of their pooled prefix checkpoints.
 
-    def config_for(self, case: FuzzCase) -> Dict[str, object]:
-        """The campaign config this engine runs ``case`` as.
-
-        Adds ``install_at`` only at non-default depths, so default-depth
-        engine runs share run seeds (and results) with the cold path.
-        """
-        config = case.config()
-        if self.depth != DEFAULT_DEPTHS[self.protocol]:
-            config["install_at"] = self.depth
-        return config
-
-    def checkpoint_for(self, target: str) -> "Checkpoint":
-        """The (lazily captured, pooled) prefix checkpoint for one target."""
-        key = (self.protocol, target, self.depth)
-        checkpoint = self.pool.get(key)
-        if checkpoint is None:
-            from repro.core.checkpoint import Checkpoint
-            from repro.core.orchestrator import make_env
-            env = make_env(seed=0)
-            config = {"protocol": self.protocol, "target": target}
-            if self.protocol == "tcp":
-                roots = _tcp_prefix(env, config, self.depth)
-            else:
-                roots = _gmp_prefix(env, config, self.depth)
-            checkpoint = Checkpoint.capture(
-                env, roots,
-                label=f"{self.protocol}/{target}@{self.depth:g}")
-            self.pool.put(key, checkpoint)
-            self.captures += 1
-            if self.journal is not None:
-                self.journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
-                                    target=target, depth=self.depth,
-                                    label=checkpoint.label,
-                                    identity=checkpoint.identity)
-        return checkpoint
-
-    def run_config(self, config: Dict[str, object], *,
-                   oracle=None) -> RunResult:
-        """Execute one configuration from its prefix checkpoint.
-
-        Runs through the campaign engine's own per-run step, so the
-        fork is re-seeded to the run seed a cold campaign would derive
-        for this config and the result is byte-identical to the cold
-        run's.
-        """
-        checkpoint = self.checkpoint_for(config["target"])
-        result = _execute(prefixed_fuzz_body, self.campaign_seed, config,
-                          checkpoint=checkpoint, telemetry=False,
-                          oracle=oracle)
-        self.forks += 1
-        return result
-
-    def run_case(self, case: FuzzCase, *, oracle=None) -> RunResult:
-        """Convenience: :meth:`config_for` + :meth:`run_config`."""
-        return self.run_config(self.config_for(case), oracle=oracle)
+    One :func:`~repro.core.orchestrator.execute_shard` call over
+    :data:`prefixed_fuzz_body`: a prefix missing from ``pool`` is
+    captured once and pooled under the campaign's own prefix digest,
+    every config forks it re-seeded to its cold run seed, so each
+    result is byte-identical to :func:`run_case`'s.  Returns one
+    ``(result, prefix key, forked)`` row per config, in input order,
+    and the ``campaign.checkpoint_capture`` payloads of the prefixes
+    captured.
+    """
+    recorder = _Recorder()
+    execute_shard(prefixed_fuzz_body, campaign_seed, configs,
+                  list(range(len(configs))),
+                  prefix_keys=[prefixed_fuzz_body.prefix_key(config)
+                               for config in configs],
+                  telemetry=False, oracle=oracle, pool=pool, sink=recorder,
+                  stats=stats)
+    rows: List = [None] * len(configs)
+    captures = []
+    for name, args in recorder.calls:
+        if name == "capture":
+            captures.append(args[0])
+        else:
+            rows[args[0]] = args[1:]
+    return rows, captures
 
 
 # ----------------------------------------------------------------------
@@ -498,15 +437,15 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     campaign path returns results in input order, so ``workers`` does
     not perturb the outcome.
 
-    ``checkpoint_depth`` switches execution to the :class:`ForkEngine`:
-    one script-free prefix per target is simulated once, every trial
-    forks it.  Passing the protocol's stock install time
-    (:data:`DEFAULT_DEPTHS`) -- or any value at the default-depth rigs'
-    defaults -- produces the *same* report the cold path produces, just
-    faster; other depths are distinct experiments (the ``install_at``
-    config key changes every run seed).  ``progress`` (e.g. ``print``)
+    ``checkpoint_depth`` switches execution to forked trials
+    (:func:`_run_forked`): one script-free prefix per target is
+    simulated once, every trial forks it.  Passing the protocol's
+    stock install time (:data:`DEFAULT_DEPTHS`) -- or any value at the
+    default-depth rigs' defaults -- produces the *same* report the cold
+    path produces, just faster; other depths are distinct experiments
+    (the ``install_at`` config key changes every run seed).  ``progress`` (e.g. ``print``)
     receives one status line per batch (shared renderer format) with
-    the trial rate, coverage, findings and, on the engine path, the
+    the trial rate, coverage, findings and, on the forked path, the
     checkpoint hit-rate.
 
     ``journal`` (a :class:`~repro.obs.journal.Journal` or a path)
@@ -518,7 +457,7 @@ def run_fuzz(protocol: str = "gmp", *, seed: int = 0, budget: int = 24,
     None`` guard per case.
 
     ``pool`` (a :class:`~repro.core.checkpoint.CheckpointPool`) backs
-    the engine path's prefix snapshots; share one pool across sweeps
+    the forked path's prefix snapshots; share one pool across sweeps
     and the subsequent finding shrinkers (``repro fuzz --save-repro``
     does) and the warmup is simulated once per target for the whole
     session, not once per consumer.
@@ -546,12 +485,14 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
     report = FuzzReport(protocol=protocol, seed=seed, budget=budget)
     coverage: set = set()
     campaign = Campaign(fuzz_body, seed=seed, lint="error")
-    engine = None
-    if checkpoint_depth is not None:
-        engine = ForkEngine(protocol, campaign_seed=seed,
-                            depth=checkpoint_depth, journal=journal,
-                            pool=pool)
-        report.checkpoint_depth = engine.depth
+    forking = checkpoint_depth is not None
+    oracle = pack_for(protocol)
+    stats = {"captures": 0, "forks": 0, "fallbacks": 0}
+    if forking:
+        from repro.core.checkpoint import CheckpointPool
+        report.checkpoint_depth = float(checkpoint_depth)
+        if pool is None:
+            pool = CheckpointPool()
     if journal is not None:
         journal.start("fuzz", protocol=protocol, seed=seed, budget=budget,
                       workers=workers, batch=batch,
@@ -569,10 +510,11 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
             cases = [_draw_case(rng, protocol, report.corpus,
                                 report.executed + i, seed)
                      for i in range(count)]
-            if engine is not None:
-                # the engine path bypasses Campaign.run, so it repeats the
+            if forking:
+                # the forked path bypasses Campaign.run, so it repeats the
                 # same pre-flight: body precheck once, script lint per batch
-                configs = [engine.config_for(case) for case in cases]
+                configs = [_config_at(case, report.checkpoint_depth)
+                           for case in cases]
                 failing = campaign.precheck_body() if batch_index == 0 else []
                 failing += campaign.validate_scripts(configs)
                 if journal is not None and batch_index == 0:
@@ -580,17 +522,21 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                                    failing=len(failing))
                 if failing:
                     raise CampaignScriptError(failing)
-                oracle = pack_for(protocol)
-                results = [engine.run_config(config, oracle=oracle)
-                           for config in configs]
+                rows, captures = _run_forked(configs, seed, oracle, pool,
+                                             stats)
+                if journal is not None:
+                    for payload in captures:
+                        journal.record(K.CAMPAIGN_CHECKPOINT_CAPTURE,
+                                       **payload,
+                                       depth=report.checkpoint_depth)
             else:
-                results = campaign.run([case.config() for case in cases],
-                                       workers=workers, telemetry=False,
-                                       oracle=pack_for(protocol))
+                rows = [(result, None, False) for result in campaign.run(
+                    [case.config() for case in cases], workers=workers,
+                    telemetry=False, oracle=oracle)]
                 if journal is not None and batch_index == 0:
                     journal.record(K.CAMPAIGN_PREFLIGHT, ok=True,
                                    failing=0)
-            for case, result in zip(cases, results):
+            for case, (result, prefix, forked) in zip(cases, rows):
                 index = report.executed
                 report.executed += 1
                 keys = coverage_keys(result.trace)
@@ -608,6 +554,8 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                         violation_count=len(result.violations),
                         example=result.violations[0]))
                 if journal is not None:
+                    shared = ({"prefix": str(prefix), "forked": forked}
+                              if forking else {})
                     journal.record(
                         K.CAMPAIGN_RUN_END, index=index,
                         label=case.script.name, case=case.script.name,
@@ -615,20 +563,22 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                         ok=not codes, codes=codes,
                         violations=len(result.violations or ()),
                         new_coverage=fresh, coverage_total=len(coverage),
-                        corpus=in_corpus)
+                        corpus=in_corpus, **shared)
             batch_index += 1
             elapsed = perf_counter() - started
             report.trials_per_sec = (report.executed / elapsed if elapsed
                                      else 0.0)
-            if engine is not None:
-                report.checkpoint_hit_rate = engine.hit_rate
+            if forking:
+                forks = stats["forks"]
+                report.checkpoint_hit_rate = (
+                    (forks - stats["captures"]) / forks if forks else 0.0)
             if renderer is not None:
                 renderer.update(
                     report.executed,
                     coverage=len(coverage),
                     findings=len(report.findings),
-                    checkpoint_hit_rate=(f"{engine.hit_rate:.0%}"
-                                         if engine is not None else None))
+                    checkpoint_hit_rate=(f"{report.checkpoint_hit_rate:.0%}"
+                                         if forking else None))
     except BaseException:
         status = "failed"
         raise
@@ -639,7 +589,8 @@ def _run_fuzz_journaled(protocol: str, journal: Optional[Journal], *,
                 findings=len(report.findings), coverage=len(coverage),
                 corpus=len(report.corpus),
                 trials_per_sec=round(report.trials_per_sec, 3),
-                checkpoint_hit_rate=report.checkpoint_hit_rate)
+                checkpoint_hit_rate=report.checkpoint_hit_rate,
+                **(_prefix_stats_payload(stats) if forking else {}))
     report.coverage = frozenset(coverage)
     return report
 

@@ -28,11 +28,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.netsim import kinds as K
 from repro.obs.journal import Journal
-from repro.oracle.fuzz import (Finding, ForkEngine, FuzzCase, pack_for,
+from repro.oracle.fuzz import (Finding, FuzzCase, _run_forked, pack_for,
                                run_case)
 from repro.oracle.grammar import Clause
 
@@ -46,30 +46,21 @@ MAX_FINGERPRINTS = 50
 SEED_CANDIDATES = (0, 1, 2)
 
 
-def _probe_engine(case: FuzzCase, campaign_seed: int,
-                  pool=None) -> Optional[ForkEngine]:
-    """A checkpointed probe engine for shrinking ``case``, or None.
+def _codes_of(case: FuzzCase, campaign_seed: int, pool=None) -> set:
+    """The violation codes of one probe, forked from ``pool`` when given.
 
     ddmin probes share the case's script-free prefix (same protocol,
-    same target, stock install depth), so one captured checkpoint
-    serves every probe.  Engine results at the default depth are
-    byte-identical to :func:`~repro.oracle.fuzz.run_case` -- the
-    property suite pins it -- which keeps the shrink predicate exactly
-    the predicate the cold replayer applies.  ``pool`` (a
-    :class:`~repro.core.checkpoint.CheckpointPool`) lets the engine
-    reuse a prefix an earlier consumer -- the fuzz sweep itself, or a
-    sibling finding's shrinker -- already captured.
+    same target, stock install depth), so one pooled checkpoint serves
+    every probe.  Forked results are byte-identical to
+    :func:`~repro.oracle.fuzz.run_case` -- the property suite pins it
+    -- which keeps the shrink predicate exactly the predicate the cold
+    replayer applies.
     """
-    return ForkEngine(case.protocol, campaign_seed=campaign_seed,
-                      pool=pool)
-
-
-def _codes_of(case: FuzzCase, campaign_seed: int, *,
-              engine: Optional[ForkEngine] = None) -> set:
-    if engine is not None:
-        result = engine.run_case(case, oracle=pack_for(case.protocol))
-    else:
+    if pool is None:
         result = run_case(case, campaign_seed=campaign_seed)
+    else:
+        [(result, _prefix, _forked)], _captures = _run_forked(
+            [case.config()], campaign_seed, pack_for(case.protocol), pool)
     return {v.code for v in (result.violations or ())}
 
 
@@ -130,8 +121,11 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
     """
     stats = ShrinkStats(clauses_before=len(case.script.clauses),
                         seed_before=case.case_seed)
-    engine = (_probe_engine(case, campaign_seed, pool=pool)
-              if checkpoint else None)
+    if not checkpoint:
+        pool = None
+    elif pool is None:
+        from repro.core.checkpoint import CheckpointPool
+        pool = CheckpointPool(max_items=1)
     journal_obj, journal_owned = Journal.ensure(journal)
     if journal_owned:
         journal_obj.start("shrink", code=code, case=case.script.name,
@@ -140,7 +134,7 @@ def shrink_case(case: FuzzCase, code: str, *, campaign_seed: int = 0,
 
     def still_violates(candidate: FuzzCase) -> bool:
         stats.runs += 1
-        verdict = code in _codes_of(candidate, campaign_seed, engine=engine)
+        verdict = code in _codes_of(candidate, campaign_seed, pool)
         if journal_obj is not None:
             journal_obj.record(
                 K.CAMPAIGN_SHRINK_STEP, probe=stats.runs,

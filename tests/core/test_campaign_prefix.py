@@ -273,6 +273,23 @@ class TestAmortization:
         assert not replay.of(K.CAMPAIGN_CHECKPOINT_CAPTURE)
         assert replay.last(K.CAMPAIGN_END).get("prefix_forks") == 1
 
+    def test_caller_pool_captures_singleton_group(self, tmp_path):
+        # a caller-owned pool outlives the run, so even a one-run group
+        # captures; the next run of that group forks without capturing
+        pool = CheckpointPool(max_items=4)
+        campaign = Campaign(split_body, seed=11)
+        configs = [{"grp": "g1", "extra": 0.0}]
+        counts = []
+        for name in ("first", "second"):
+            path = tmp_path / f"{name}.jsonl"
+            results = campaign.run(configs, prefix_pool=pool, journal=path)
+            assert _stable(results) == _stable(campaign.run(configs,
+                                                            group=False))
+            end = replay_journal(path).last(K.CAMPAIGN_END)
+            counts.append((end.get("prefix_captures"),
+                           end.get("prefix_forks")))
+        assert counts == [(1, 1), (0, 1)]
+
     def test_cached_sweep_skips_capture_entirely(self, tmp_path):
         cache = ResultStore(tmp_path / "cache")
         campaign = Campaign(split_body, seed=11)

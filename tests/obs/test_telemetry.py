@@ -98,8 +98,9 @@ class TestScorecard:
         assert "0 config(s)" in card
 
     def test_scorecard_flag_prints(self, capsys):
-        Campaign(sweep_body, seed=7).run(
-            _sweep_configs(count=2, events=10), scorecard=True)
+        results = Campaign(sweep_body, seed=7).run(
+            _sweep_configs(count=2, events=10))
+        print(render_scorecard(results))
         out = capsys.readouterr().out
         assert "virt/wall" in out
         assert "2 config(s)" in out

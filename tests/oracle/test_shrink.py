@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.checkpoint import CheckpointPool
 from repro.oracle.fuzz import run_fuzz
 from repro.oracle.shrink import (ReproArtifact, artifact_name, ddmin,
                                  make_artifact, replay_artifact,
@@ -54,6 +55,31 @@ def finding():
     report = run_fuzz("gmp", seed=0, budget=24)
     assert report.findings
     return report.findings[0]
+
+
+def test_shrink_probes_fork_one_pooled_prefix(finding):
+    pool = CheckpointPool()
+    _shrunk, stats = shrink_case(finding.case, finding.codes[0],
+                                 campaign_seed=0, pool=pool)
+    assert stats.runs > 1
+    assert (pool.stats()["misses"], pool.stats()["hits"]) \
+        == (1, stats.runs - 1)
+
+
+def test_shrink_forks_the_prefix_the_sweep_captured():
+    # the sharing ``repro fuzz --save-repro`` relies on: one pool for
+    # the checkpointed sweep and every finding's shrinker
+    pool = CheckpointPool(max_items=8)
+    report = run_fuzz("gmp", seed=0, budget=8, checkpoint_depth=8.0,
+                      pool=pool)
+    assert report.findings
+    before = pool.stats()
+    _artifact, stats = shrink_finding(report.findings[0], campaign_seed=0,
+                                      pool=pool)
+    after = pool.stats()
+    assert after["items"] == before["items"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] - before["hits"] == stats.runs
 
 
 def test_shrunk_script_is_a_violating_subsequence(finding):

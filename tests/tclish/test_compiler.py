@@ -204,6 +204,18 @@ class TestCompiledEquivalence:
             Interp(compiled=False).eval(source)
         assert str(compiled_err.value) == str(fresh_err.value)
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_runaway_recursion_is_a_catchable_tcl_error(self, compiled):
+        interp = Interp(compiled=compiled)
+        interp.eval("proc f {n} {return [f $n]}")
+        message = "too many nested evaluations (infinite loop?)"
+        with pytest.raises(TclError) as err:
+            interp.eval("f 1")
+        assert str(err.value) == message
+        assert interp.eval("list [catch {f 1} msg] $msg") \
+            == f"1 {{{message}}}"
+        assert interp._frames == []
+
     def test_persistent_state_across_evals_matches(self):
         compiled = Interp(compiled=True)
         fresh = Interp(compiled=False)
