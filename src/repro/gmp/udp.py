@@ -10,7 +10,7 @@ business, not UDP's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
@@ -24,8 +24,8 @@ class UDPHeader:
     dst_port: int
 
     def clone(self) -> "UDPHeader":
-        """Message header ``clone()`` protocol: cheap dataclass replace."""
-        return replace(self)
+        """Message header ``clone()`` protocol: a constructor call."""
+        return UDPHeader(self.src_port, self.dst_port)
 
 
 class UDPProtocol(Protocol):

@@ -9,7 +9,7 @@ Routing itself is the network simulator's job; the anchor layer reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
@@ -25,8 +25,8 @@ class IPHeader:
     ttl: int = 64
 
     def clone(self) -> "IPHeader":
-        """Message header ``clone()`` protocol: cheap dataclass replace."""
-        return replace(self)
+        """Message header ``clone()`` protocol: a constructor call."""
+        return IPHeader(self.src, self.dst, self.proto, self.ttl)
 
 
 class IPProtocol(Protocol):

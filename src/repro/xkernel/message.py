@@ -12,15 +12,15 @@ not part of the wire format -- e.g. the PFI layer stamps injected messages,
 and experiments tag messages for later trace correlation.  ``meta`` is
 copied shallowly by :meth:`copy`.
 
-Copying is copy-on-write over the header stack: :meth:`copy` shares the
-original's header list and defers duplication until either side next
-touches its headers, so duplicate-then-drop fault injection never pays for
-a copy at all.  When a stack does materialize, each header is duplicated
-through the ``clone()`` protocol -- any header exposing a ``clone()``
-method (TCP segments, GMP wire messages, the UDP/IP/reliable-delivery
-headers) is copied by that method instead of ``copy.deepcopy``, which
-keeps the duplicate path free of the deepcopy machinery for every header
-type the simulator ships.
+Copying is eager: :meth:`copy` duplicates the header stack at once, so a
+copy never shares a header object with its original.  Each header is
+duplicated through the ``clone()`` protocol -- any header exposing a
+``clone()`` method (TCP segments, GMP wire messages, the UDP/IP/reliable
+delivery headers) is copied by that method, which calls the header's own
+constructor, instead of by ``copy.deepcopy``.  The copy is not deferred:
+nearly every copy in the stacks crosses a layer that pushes or pops a
+header, so a copy-on-write stack would be duplicated anyway, after paying
+for its bookkeeping.
 """
 
 from __future__ import annotations
@@ -46,40 +46,19 @@ def _clone_header(header: Any) -> Any:
 class Message:
     """A payload with a header stack, travelling through protocol layers."""
 
-    __slots__ = ("payload", "_headers", "_share", "meta", "uid")
+    __slots__ = ("payload", "headers", "meta", "uid")
 
     def __init__(self, payload: Any = b"", headers: Optional[List[Any]] = None,
                  meta: Optional[Dict[str, Any]] = None):
         self.payload = payload
-        self._headers: List[Any] = list(headers) if headers else []
-        self._share: Optional[List[int]] = None
+        #: the header stack (innermost first)
+        self.headers: List[Any] = list(headers) if headers else []
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
         self.uid = next(_message_ids)
 
     # ------------------------------------------------------------------
     # header stack
     # ------------------------------------------------------------------
-
-    @property
-    def headers(self) -> List[Any]:
-        """The header stack (innermost first).
-
-        Accessing it on a message whose stack is still shared with a
-        copy-on-write sibling materializes a private stack first, so the
-        returned list (and the headers in it) are always safe to mutate.
-        """
-        if self._share is not None:
-            self._materialize()
-        return self._headers
-
-    def _materialize(self) -> None:
-        # leave the share group; the last member keeps the pristine list,
-        # earlier leavers clone so the remaining members stay unaffected
-        share = self._share
-        self._share = None
-        share[0] -= 1
-        if share[0] > 0:
-            self._headers = [_clone_header(h) for h in self._headers]
 
     def push_header(self, header: Any) -> "Message":
         """Add a header on the way down the stack.  Returns self."""
@@ -113,26 +92,19 @@ class Message:
     def copy(self) -> "Message":
         """Deep-enough copy for duplicate/modify fault injection.
 
-        The header stack is shared copy-on-write (see the module
-        docstring); mutating either side's headers never leaks into the
-        other.  Bytes and other immutable payloads are shared; payloads
-        exposing ``clone()`` use it; anything else is deep-copied.  The
-        copy receives a fresh uid.
+        Every header is cloned (see the module docstring), so mutating
+        either side's headers never leaks into the other.  Bytes and other
+        immutable payloads are shared; payloads exposing ``clone()`` use
+        it; anything else is deep-copied.  The copy receives a fresh uid.
         """
         payload = self.payload
         if not isinstance(payload, _IMMUTABLE):
             clone_fn = getattr(payload, "clone", None)
             payload = clone_fn() if clone_fn is not None \
                 else _copy.deepcopy(payload)
-        share = self._share
-        if share is None:
-            share = [1]
-            self._share = share
-        share[0] += 1
         clone = Message.__new__(Message)
         clone.payload = payload
-        clone._headers = self._headers
-        clone._share = share
+        clone.headers = [_clone_header(h) for h in self.headers]
         clone.meta = dict(self.meta)
         clone.uid = next(_message_ids)
         clone.meta["copied_from"] = self.uid
@@ -148,6 +120,6 @@ class Message:
         return 0
 
     def __repr__(self) -> str:
-        names = [type(h).__name__ for h in self._headers]
+        names = [type(h).__name__ for h in self.headers]
         return (f"Message(uid={self.uid}, headers={names}, "
                 f"payload_len={len(self)})")

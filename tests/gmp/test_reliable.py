@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import make_env
-from repro.gmp.reliable import ReliableChannel
+from repro.core import PFILayer, TclishFilter, make_env
+from repro.gmp.daemon import gmp_stubs
+from repro.gmp.reliable import RelHeader, ReliableChannel
 from repro.gmp.udp import UDPProtocol
 from repro.xkernel.message import Message
 from repro.xkernel.protocol import Protocol
@@ -140,3 +141,77 @@ def test_ack_messages_not_delivered_up():
     env.run_until(2.0)
     # node 1 received the reliable-layer ACK but nothing surfaced
     assert tops[1].got == []
+
+
+# ----------------------------------------------------------------------
+# one RelHeader per transmission
+# ----------------------------------------------------------------------
+
+
+class WireTap(Protocol):
+    """Below the reliable layer: keeps every transmission, passes none."""
+
+    def __init__(self):
+        super().__init__("tap")
+        self.sent = []
+
+    def push(self, msg):
+        self.sent.append(msg)
+
+
+def build_tapped(send_filter=None):
+    """Host 1's stack with a tap under the reliable layer, and a PFI layer
+    between them when ``send_filter`` is given."""
+    env = make_env()
+    node = env.network.add_node("h1", 1)
+    channel = ReliableChannel(1, env.scheduler, trace=env.trace)
+    middle = []
+    if send_filter is not None:
+        pfi = PFILayer("pfi1", env.scheduler, gmp_stubs(), trace=env.trace)
+        pfi.set_send_filter(send_filter)
+        middle.append(pfi)
+    tap = WireTap()
+    ProtocolStack("s1").build(TopSink(), channel, *middle, tap,
+                              UDPProtocol(1), NodeAnchor(node))
+    return env, channel, tap
+
+
+def test_pending_original_carries_no_header():
+    env, channel, _ = build_tapped()
+    send({1: channel}, 1, 2, "keep me bare")
+    (pending,) = channel._pending.values()
+    assert pending.msg.headers == []
+    env.run_until(0.5)  # after a retry too
+    assert pending.retries == 1
+    assert pending.msg.headers == []
+
+
+def test_every_transmission_carries_its_own_rel_header():
+    env, channel, tap = build_tapped()
+    send({1: channel}, 1, 2, "first")
+    send({1: channel}, 1, 2, "second")
+    env.run_until(30.0)
+    assert channel.abandoned_count == 2
+    by_payload = {}
+    for wire in tap.sent:
+        by_payload.setdefault(wire.payload, []).append(wire)
+    for seq, payload in enumerate(["first", "second"]):
+        wires = by_payload[payload]
+        # the first send and every retry
+        assert len(wires) == 1 + channel.max_retries
+        for wire in wires:
+            assert wire.headers == [RelHeader(seq)]
+        headers = [wire.headers[0] for wire in wires]
+        assert len({id(header) for header in headers}) == len(headers)
+
+
+def test_set_field_on_one_transmission_misses_the_next_retry():
+    rewrite_first = TclishFilter(
+        "if {$n == 0} {msg_set_field seq 99}; incr n", init_script="set n 0")
+    env, channel, tap = build_tapped(rewrite_first)
+    send({1: channel}, 1, 2, "rewritten once")
+    (pending,) = channel._pending.values()
+    env.run_until(30.0)
+    assert [wire.headers[-1].seq for wire in tap.sent] == \
+        [99] + [0] * channel.max_retries
+    assert pending.msg.headers == []
