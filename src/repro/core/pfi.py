@@ -185,6 +185,9 @@ class PFILayer(Protocol):
                          tag=ctx.hold_tag)
             return
 
+        # copy before forwarding: the next layer pushes (send) or pops
+        # (receive) a header on the original in place
+        copies = [ctx.msg.copy() for _ in ctx.duplicate_delays]
         if ctx.delay_s > 0:
             self._counters["delayed"].inc()
             self._record(K.PFI_DELAY, direction=direction, uid=ctx.msg.uid,
@@ -193,9 +196,8 @@ class PFILayer(Protocol):
         else:
             self._forward(ctx.msg, direction)
 
-        for extra_delay in ctx.duplicate_delays:
+        for copy, extra_delay in zip(copies, ctx.duplicate_delays):
             self._counters["duplicated"].inc()
-            copy = ctx.msg.copy()
             self._record(K.PFI_DUPLICATE, direction=direction, uid=copy.uid,
                          original=ctx.msg.uid)
             if extra_delay > 0:

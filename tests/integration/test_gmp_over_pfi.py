@@ -110,3 +110,42 @@ def test_deterministic_across_runs():
         cluster.run_until(30.0)
         views.append(tuple(sorted(cluster.views().items())))
     assert views[0] == views[1]
+
+
+def _duplicate_first_proclaim():
+    seen = []
+
+    def script(ctx):
+        if ctx.msg_type() == "PROCLAIM" and not seen:
+            seen.append(ctx.msg.uid)
+            ctx.duplicate(1)
+    return script
+
+
+def test_send_side_duplicate_is_deduplicated_by_the_receiver():
+    """A send-side duplicate is a copy of the message the PFI layer saw,
+    taken before UDP pushes its header, so the receiver's reliable layer
+    recognises and drops it."""
+    cluster = build_gmp_cluster([1, 2])
+    cluster.pfis[1].set_send_filter(_duplicate_first_proclaim())
+    cluster.start()
+    cluster.run_until(10.0)
+    reliable2 = cluster.pfis[2].above
+    assert cluster.pfis[1].stats["duplicated"] == 1
+    assert reliable2.duplicate_count == 1
+    assert cluster.trace.count("rel.duplicate", node=2) == 1
+    assert cluster.all_in_one_group()
+
+
+def test_receive_side_duplicate_is_deduplicated_by_the_receiver():
+    """A receive-side duplicate still carries the RelHeader the original
+    had when the PFI layer saw it, so the reliable layer above drops it."""
+    cluster = build_gmp_cluster([1, 2])
+    cluster.pfis[2].set_receive_filter(_duplicate_first_proclaim())
+    cluster.start()
+    cluster.run_until(10.0)
+    reliable2 = cluster.pfis[2].above
+    assert cluster.pfis[2].stats["duplicated"] == 1
+    assert reliable2.duplicate_count == 1
+    assert cluster.trace.count("rel.duplicate", node=2) == 1
+    assert cluster.all_in_one_group()
